@@ -22,12 +22,11 @@ from .qcore import (
 from .appell import (
     FAMILIES,
     AppellFamily,
-    appell_weight,
     family_by_name,
     family_from_spec,
     family_functionals,
     moment_sum,
-    weight_prefix,
+    weights,
 )
 from .operators import (
     SAFETY,

@@ -25,9 +25,9 @@ __all__ = [
     "FAMILIES",
     "family_by_name",
     "family_from_spec",
-    "appell_weight",
-    "weight_prefix",
     "family_functionals",
+    "SAFETY",
+    "weights",
     "moment_sum",
 ]
 
@@ -72,24 +72,6 @@ def family_from_spec(spec: str) -> AppellFamily:
     return AppellFamily(coeffs, name=spec)
 
 
-def appell_weight(family: AppellFamily, k: int, y: float, q) -> float:
-    """Single weight c_k(y); one convolution pass over the symbol."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
-    qv = as_qvalue(q)
-    # running y^j/[j]_q!, built by recurrence to dodge overflow of y^j alone
-    pow_over_fact = [1.0]
-    for j in range(1, k + 1):
-        pow_over_fact.append(pow_over_fact[-1] * y / q_integer(j, qv))
-    out = 0.0
-    for j, a in enumerate(family.coeffs):
-        if j <= k:
-            out += a * pow_over_fact[k - j]
-    return out
-
-
 Functionals = namedtuple("Functionals", "A1 DqA1 DqAq Dq2A1")
 
 
@@ -115,25 +97,57 @@ def family_functionals(family: AppellFamily, q) -> Functionals:
     return Functionals(float(a1), float(d1), float(dq), float(d2))
 
 
-def weight_prefix(family: AppellFamily, y: float, q, count: int) -> np.ndarray:
-    """Array of c_0(y) .. c_{count-1}(y)."""
-    qv = as_qvalue(q)
-    t = np.empty(count)
-    t[0] = 1.0
-    for j in range(1, count):
-        t[j] = t[j - 1] * y / q_integer(j, qv)
-    c = np.zeros(count)
-    for j, a in enumerate(family.coeffs):
-        if j < count:
-            c[j:] += a * t[: count - j]
-    return c
+# The tail of sum_k c_k(y) h_k after index K is geometric when |h_k| <= bound:
+# every ratio c_{k+1}/c_k is a weighted mean of component ratios y/[k+1-m]_q
+# (m over the symbol), all bounded by R = y/[k+1-deg]_q, and R decreases in k
+# toward (1-q)y < 1 on the evaluation domain y <= SAFETY/(1-q).  Using
+# max(R, SAFETY) keeps the bound conservative.
+SAFETY = 0.95
 
-# The tail of sum_k c_k(y) [k]_q^p after index k is geometric: every ratio
-# c_{k+1}/c_k is a weighted mean of component ratios y/[k+1-m]_q (m over the
-# symbol), all bounded by R = y/[k+1-K]_q, and R decreases in k toward
-# (1-q)y < 1 on the evaluation domain.  Using max(R, safety) keeps the bound
-# conservative; the [k]^p factor is absorbed by [k]_q < 1/(1-q).
-_SAFETY = 0.95
+
+def weights(
+    family: AppellFamily,
+    y: float,
+    q,
+    bound: float = 1.0,
+    tol: float = DEFAULT_TOL,
+    k_min: int = 16,
+    k_max: int = SERIES_CAP,
+) -> tuple:
+    """Weights c_0(y)..c_K(y) and q-integers [0]_q..[K]_q as two arrays.
+
+    K is the first index >= k_min whose geometric tail bound
+    c_K * rho/(1-rho) * bound, rho = max(y/[K+1-deg]_q, SAFETY), is at most
+    tol * sum_{k<=K} c_k; so for any |h_k| <= bound, c @ h misses at most
+    that much of the full series.
+    """
+    if y < 0.0:
+        raise ValueError("y must be nonnegative")
+    qv = as_qvalue(q)
+    coeffs = family.coeffs
+    deg = family.degree
+    pow_over_fact = [1.0]  # y^j/[j]_q!, built by recurrence to dodge overflow of y^j
+    kq = [0.0, 1.0]  # [j]_q, one index ahead of the weights
+    c = []
+    total = 0.0
+    qpow = qv.q  # q^(k+1)
+    for k in range(k_max + 1):
+        c_k = 0.0
+        for j, a in enumerate(coeffs[: k + 1]):
+            c_k += a * pow_over_fact[k - j]
+        c.append(c_k)
+        total += c_k
+        lag = k + 1 - deg
+        if lag >= 1 and k >= k_min:
+            rho = max(y / kq[lag], SAFETY)
+            if rho < 1.0 and c_k * rho / (1.0 - rho) * bound <= tol * total:
+                return np.array(c), np.array(kq[:-1])
+        pow_over_fact.append(pow_over_fact[-1] * y / kq[k + 1])
+        qpow *= qv.q
+        kq.append((1.0 - qpow) / (1.0 - qv.q))
+    raise TruncationCapError(
+        f"weights(y={y}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
+    )
 
 
 def moment_sum(
@@ -148,30 +162,6 @@ def moment_sum(
     """sum_k c_k(y) * [k]_q^power, truncated by the geometric tail bound."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
-    qv = as_qvalue(q)
-    deg = family.degree
-    pow_bound = qv.radius**power  # [k]_q never exceeds the radius
-    window = [0.0] * deg + [1.0]  # trailing values of y^j/[j]_q!
-    total = 0.0
-    qpow = 1.0  # q^k
-    qint_k = 0.0
-    for k in range(k_max + 1):
-        c_k = 0.0
-        for j, a in enumerate(family.coeffs):
-            c_k += a * window[deg - j]
-        total += c_k * qint_k**power
-        lag = k + 1 - deg
-        if lag >= 1 and k >= k_min:
-            ratio = y / q_integer(lag, qv)
-            rho = max(ratio, _SAFETY)
-            if rho < 1.0 and c_k * rho / (1.0 - rho) * pow_bound <= tol * max(1.0, total):
-                return total
-        qpow *= qv.q
-        qint_next = (1.0 - qpow) / (1.0 - qv.q)
-        window = window[1:] + [window[-1] * y / qint_next]
-        qint_k = qint_next
-    raise TruncationCapError(
-        f"moment_sum(power={power}, y={y}, q={qv.q}) hit the {k_max}-term cap"
-    )
+    # [k]_q never exceeds the radius 1/(1-q)
+    c, kq = weights(family, y, q, as_qvalue(q).radius**power, tol, k_min, k_max)
+    return float(c @ kq**power)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,7 +30,6 @@ from .analysis import (
 from .appell import FAMILIES, family_from_spec, family_functionals, moment_sum
 from .errors import ConfigError, DomainError, EvaluationError, TruncationCapError
 from .operators import (
-    SAFETY,
     make_operator,
     moment_closed,
     moment_closed_uncorrected,
@@ -49,6 +47,8 @@ from .statconv import (
 )
 
 _ORACLE_RTOL = 1e-9
+# an `auto` grid top stops this fraction of the way to the guarded x_max
+_AUTO_MARGIN = 0.95
 
 _DEFAULTS = {
     "identities": {"q": "0.5,0.8,0.95", "points": "100", "tol": "1e-12", "out": None},
@@ -260,6 +260,29 @@ def _schedule(spec: str) -> ScheduleSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _operator_and_grid(res: dict) -> tuple:
+    """Operator, grid and shared config entries for moments, rates and local."""
+    q = _as_q(res["q"])
+    n = _as_int(res["n"], "n")
+    bn = _resolve_bn(res["bn"], n)
+    fam = _family(res["family"])
+    op = make_operator(n, q, bn, fam)
+    lo, hi, pts = _parse_grid(res["grid"])
+    if hi is None:
+        hi = _AUTO_MARGIN * op.x_max
+    cfg = {
+        "q": q,
+        "n": n,
+        "bn": res["bn"],
+        "bn_value": bn,
+        "family": fam.name,
+        "grid": "%s:%s:%d" % (_fmt(lo), _fmt(hi), pts),
+        "tol": _as_float(res["tol"], "tol", lo=0.0),
+        "out": res["out"] or "-",
+    }
+    return op, GridSpec(lo, hi, pts), cfg
+
+
 def _fail(name: str, detail: str) -> int:
     print(f"FAIL {name} {detail}")
     return 1
@@ -377,16 +400,8 @@ def _run_identities(res: dict) -> int:
 
 
 def _run_moments(res: dict) -> int:
-    q = _as_q(res["q"])
-    n = _as_int(res["n"], "n")
-    bn = _resolve_bn(res["bn"], n)
-    fam = _family(res["family"])
-    tol = _as_float(res["tol"], "tol", lo=0.0)
-    op = make_operator(n, q, bn, fam)
-    lo, hi, pts = _parse_grid(res["grid"])
-    if hi is None:
-        hi = 0.95 * op.x_max
-    grid = GridSpec(lo, hi, pts)
+    op, grid, cfg = _operator_and_grid(res)
+    tol = cfg["tol"]
 
     rows = []
     worst = (0.0, None)
@@ -400,20 +415,12 @@ def _run_moments(res: dict) -> int:
                 "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
                 % (i, x, closed, series, printed, closed - series, printed - series)
             )
-            r = _rel(closed, series)
+            # a non-finite row must fail the scan, not slip past every `>`
+            finite = math.isfinite(closed) and math.isfinite(series)
+            r = _rel(closed, series) if finite else math.inf
             if r > worst[0]:
                 worst = (r, (i, x))
 
-    cfg = {
-        "q": q,
-        "n": n,
-        "bn": res["bn"],
-        "bn_value": bn,
-        "family": fam.name,
-        "grid": "%s:%s:%d" % (_fmt(lo), _fmt(hi), pts),
-        "tol": tol,
-        "out": res["out"] or "-",
-    }
     lines = [_comment("moments", cfg)]
     lines.append("i,x,closed,series,printed,closed_minus_series,printed_minus_series")
     lines.extend(rows)
@@ -445,7 +452,7 @@ def _run_converge(res: dict) -> int:
     eff = clip_grid_for(sched, ns, base)
     if hi is None:
         # auto: pull in the extra safety margin like the other commands do
-        eff = GridSpec(eff.x_lo, 0.95 * eff.x_hi, pts)
+        eff = GridSpec(eff.x_lo, _AUTO_MARGIN * eff.x_hi, pts)
     table = korovkin_table(sched, fam, ns, eff)
 
     cfg = {
@@ -484,16 +491,8 @@ def _run_converge(res: dict) -> int:
 
 
 def _run_rates(res: dict) -> int:
-    q = _as_q(res["q"])
-    n = _as_int(res["n"], "n")
-    bn = _resolve_bn(res["bn"], n)
-    fam = _family(res["family"])
     f = _function(res["function"])
-    op = make_operator(n, q, bn, fam)
-    lo, hi, pts = _parse_grid(res["grid"])
-    if hi is None:
-        hi = 0.95 * op.x_max
-    grid = GridSpec(lo, hi, pts)
+    op, grid, cfg = _operator_and_grid(res)
     f_lo = _as_float(res["f_lo"], "f_lo") if res["f_lo"] is not None else grid.x_lo
     f_hi = _as_float(res["f_hi"], "f_hi") if res["f_hi"] is not None else grid.x_hi
     if res["alpha"] is not None:
@@ -508,20 +507,7 @@ def _run_rates(res: dict) -> int:
         reports.append(check_lipschitz_theorem(op, f, f_lo, f_hi, grid))
     reports.append(check_maximal_theorem(op, f, alpha, grid))
 
-    cfg = {
-        "q": q,
-        "n": n,
-        "bn": res["bn"],
-        "bn_value": bn,
-        "family": fam.name,
-        "function": f.name,
-        "grid": "%s:%s:%d" % (_fmt(lo), _fmt(hi), pts),
-        "f_lo": f_lo,
-        "f_hi": f_hi,
-        "alpha": alpha,
-        "tol": _as_float(res["tol"], "tol", lo=0.0),
-        "out": res["out"] or "-",
-    }
+    cfg.update(function=f.name, f_lo=f_lo, f_hi=f_hi, alpha=alpha)
     lines = [_comment("rates", cfg)]
     lines.append("theorem,x,lhs,rhs,margin")
     for rep in reports:
@@ -548,29 +534,11 @@ def _run_rates(res: dict) -> int:
 
 
 def _run_local(res: dict) -> int:
-    q = _as_q(res["q"])
-    n = _as_int(res["n"], "n")
-    bn = _resolve_bn(res["bn"], n)
-    fam = _family(res["family"])
     f = _function(res["function"])
-    op = make_operator(n, q, bn, fam)
-    lo, hi, pts = _parse_grid(res["grid"])
-    if hi is None:
-        hi = 0.95 * op.x_max
-    grid = GridSpec(lo, hi, pts)
+    op, grid, cfg = _operator_and_grid(res)
     rep = check_local_theorem(op, f, grid)
 
-    cfg = {
-        "q": q,
-        "n": n,
-        "bn": res["bn"],
-        "bn_value": bn,
-        "family": fam.name,
-        "function": f.name,
-        "grid": "%s:%s:%d" % (_fmt(lo), _fmt(hi), pts),
-        "tol": _as_float(res["tol"], "tol", lo=0.0),
-        "out": res["out"] or "-",
-    }
+    cfg["function"] = f.name
     lines = [_comment("local", cfg)]
     lines.append("x,lhs,rhs,margin")
     for x, l, r, m in zip(rep.xs, rep.lhs, rep.rhs, rep.margins):
@@ -667,24 +635,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("QAPPROX_THREADS")
-    if raw is None:
-        return
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ConfigError(f"QAPPROX_THREADS must be an integer, got {raw!r}")
-    if v < 1:
-        raise ConfigError(f"QAPPROX_THREADS must be >= 1, got {v}")
-    # computations are sequential; the cap is accepted for interface stability
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         resolved = _resolve(args)
         return _RUNNERS[args.command](resolved)
     except DomainError as exc:

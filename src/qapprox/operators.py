@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .appell import AppellFamily, Functionals, family_from_spec, family_functionals
+from .appell import (
+    SAFETY,
+    AppellFamily,
+    Functionals,
+    family_from_spec,
+    family_functionals,
+    weights,
+)
 from .errors import DomainError, EvaluationError, TruncationCapError
 from .qcore import DEFAULT_TOL, SERIES_CAP, QValue, as_qvalue, eq_exp, q_integer
 from . import appell as _appell
@@ -44,8 +51,6 @@ __all__ = [
     "auxiliary_evaluate",
     "classical_evaluate",
 ]
-
-SAFETY = 0.95  # keeps the weight-ratio tail bound geometric on the whole domain
 
 _AUDIT_HI = 10.0
 _AUDIT_POINTS = 200
@@ -242,39 +247,15 @@ def evaluate(
     """Operator value at x, truncated under a proven geometric tail bound."""
     _check_x(op, x)
     f = as_target(f)
-    qv = op.q
-    y = op.y(x)
-    fbound = _node_sup_bound(f, op.node_sup)
-    norm = sum(op.family.coeffs) * eq_exp(y, qv, trunc.tol)  # = sum_k c_k(y)
-    coeffs = op.family.coeffs
-    deg = op.family.degree
-    window = [0.0] * deg + [1.0]  # trailing y^j/[j]_q! values
-    total = 0.0
-    qpow = 1.0
-    qint_k = 0.0
-    for k in range(trunc.k_max + 1):
-        c_k = 0.0
-        for j, a in enumerate(coeffs):
-            c_k += a * window[deg - j]
-        fv = float(f.fn(qint_k * op.scale))
-        if not math.isfinite(fv):
-            raise EvaluationError(
-                f"{f.name} returned {fv} at node {qint_k * op.scale}"
-            )
-        total += c_k * fv
-        lag = k + 1 - deg
-        if lag >= 1 and k >= trunc.k_min:
-            # c_{j+1}/c_j <= y/[j+1-deg]_q, decreasing in j; clip at SAFETY
-            rho = max(y / q_integer(lag, qv), SAFETY)
-            if rho < 1.0 and c_k * rho / (1.0 - rho) * fbound <= trunc.tol * norm:
-                return total / norm
-        qpow *= qv.q
-        qint_next = (1.0 - qpow) / (1.0 - qv.q)
-        window = window[1:] + [window[-1] * y / qint_next]
-        qint_k = qint_next
-    raise TruncationCapError(
-        f"evaluate hit the {trunc.k_max}-term cap at x={x}, n={op.n}, q={qv.q}"
-    )
+    bound = _node_sup_bound(f, op.node_sup)
+    c, kq = weights(op.family, op.y(x), op.q, bound, trunc.tol, trunc.k_min, trunc.k_max)
+    nodes = kq * op.scale
+    fv = np.array([f.fn(t) for t in nodes], dtype=float)
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
+    return float(c @ fv / c.sum())
 
 
 def _ratio_eq(op: OperatorInstance, z: float, y: float, tol: float) -> float:
@@ -387,6 +368,14 @@ def _poisson_rate_bound(f: TargetFunction, step: float) -> tuple:
     return (2.0 * m + 1e-6, math.exp(step))  # heuristic growth guess
 
 
+def _poisson(k: int, base: float, lam: float) -> float:
+    """e^{-lam} base^k / k!, formed in log space: a recurrence started from
+    e^{-lam} underflows to 0 for lam > ~745 and stays 0."""
+    if base == 0.0:
+        return math.exp(-lam) if k == 0 else 0.0
+    return math.exp(k * math.log(base) - lam - math.lgamma(k + 1.0))
+
+
 def classical_evaluate(
     n: int,
     bn: float,
@@ -403,22 +392,18 @@ def classical_evaluate(
     step = bn / n
     lam = n * x / bn
     amp, factor = _poisson_rate_bound(f, step)
-    lam2 = lam * factor
-    w = math.exp(-lam)  # e^{-lam} lam^k / k!
-    w2 = math.exp(-lam)  # e^{-lam} lam2^k / k!, dominates w_k |f| / amp
+    lam2 = lam * factor  # e^{-lam} lam2^k / k! dominates the weight times |f| / amp
     total = 0.0
     for k in range(trunc.k_max + 1):
         fv = float(f.fn(k * step))
         if not math.isfinite(fv):
             raise EvaluationError(f"{f.name} returned {fv} at node {k * step}")
-        total += w * fv
+        total += _poisson(k, lam, lam) * fv
         if k >= trunc.k_min:
             r = lam2 / (k + 2.0)
-            w2_next = w2 * lam2 / (k + 1.0)
+            w2_next = _poisson(k + 1, lam2, lam)
             if r < 1.0 and amp * w2_next / (1.0 - r) <= trunc.tol * max(1.0, abs(total)):
                 return total
-        w *= lam / (k + 1.0)
-        w2 *= lam2 / (k + 1.0)
     raise TruncationCapError(
         f"classical_evaluate hit the {trunc.k_max}-term cap at x={x}, n={n}"
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import GridSpec
 from .appell import AppellFamily
 from .errors import DomainError
-from .operators import SAFETY, make_operator, moment_closed
+from .operators import make_operator, moment_closed
 from .qcore import q_integer
 
 __all__ = [
@@ -102,10 +102,9 @@ def clip_grid_for(schedule: ScheduleSpec, ns, grid: GridSpec) -> GridSpec:
     """Shrink the grid so every instance along ns can evaluate on it."""
     hi = grid.x_hi
     for n in ns:
-        q = schedule.q_at(n)
-        bn = schedule.b_at(n)
-        nq = q_integer(n, q)
-        hi = min(hi, SAFETY * bn / ((1.0 - q) * nq))
+        # x_max does not depend on the symbol
+        op = make_operator(n, schedule.q_at(n), schedule.b_at(n), "one")
+        hi = min(hi, op.x_max)
     if hi <= grid.x_lo:
         raise DomainError(
             f"guarded domain [0, {hi}] leaves no room above x_lo={grid.x_lo}"

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from qapprox.appell import (
     FAMILIES,
+    SAFETY,
     AppellFamily,
-    appell_weight,
     family_by_name,
     family_from_spec,
     family_functionals,
     moment_sum,
-    weight_prefix,
+    weights,
 )
 from qapprox.errors import TruncationCapError
 from qapprox.qcore import as_qvalue, q_factorial, q_integer
@@ -57,38 +57,37 @@ def test_weight_hand_value():
     # affine: c_2(y) = y^2/[2]_q! + y
     fam = family_by_name("affine")
     want = 0.25 / 1.5 + 0.5
-    assert appell_weight(fam, 2, 0.5, 0.5) == pytest.approx(want, rel=1e-14)
+    c, kq = weights(fam, 0.5, 0.5)
+    assert c[2] == pytest.approx(want, rel=1e-14)
+    assert kq[2] == 1.5
 
 
 def test_weight_matches_direct_formula():
     rng = np.random.default_rng(7)
-    fam = family_by_name("quad")
-    for _ in range(20):
-        k = int(rng.integers(0, 12))
-        y = float(rng.uniform(0.0, 1.5))
-        q = float(rng.uniform(0.3, 0.95))
-        want = sum(
-            fam.coeffs[j] * y ** (k - j) / q_factorial(k - j, q)
-            for j in range(min(k, fam.degree) + 1)
-        )
-        assert appell_weight(fam, k, y, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-
-def test_weight_prefix_matches_scalar():
-    fam = family_by_name("affine")
-    pref = weight_prefix(fam, 0.7, 0.8, 10)
-    for k in range(10):
-        assert pref[k] == pytest.approx(appell_weight(fam, k, 0.7, 0.8), rel=1e-13)
+    for name in ("quad", "affine"):
+        fam = family_by_name(name)
+        for _ in range(20):
+            y = float(rng.uniform(0.0, 1.5))
+            q = float(rng.uniform(0.3, 0.95))
+            c, kq = weights(fam, y, q)
+            for k in range(12):
+                want = sum(
+                    fam.coeffs[j] * y ** (k - j) / q_factorial(k - j, q)
+                    for j in range(min(k, fam.degree) + 1)
+                )
+                assert c[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+                assert kq[k] == pytest.approx(q_integer(k, q), rel=1e-14)
 
 
 @given(
     st.sampled_from(["one", "affine", "quad"]),
-    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.3, max_value=0.95),
 )
-def test_weights_nonnegative(name, y, q):
-    fam = family_by_name(name)
-    assert all(appell_weight(fam, k, y, q) >= 0.0 for k in range(8))
+def test_weights_nonnegative(name, frac, q):
+    # y over the guarded domain [0, SAFETY/(1-q)], where the weight series converges
+    c, _ = weights(family_by_name(name), frac * SAFETY / (1.0 - q), q)
+    assert np.all(c >= 0.0)
 
 
 def test_functionals_hand_values():
@@ -112,10 +111,12 @@ def test_moment_sum_against_dense_partial_sums():
     q = 0.8
     y = 2.0
     fam = family_by_name("affine")
-    pref = weight_prefix(fam, y, q, 400)
-    kq = np.array([q_integer(k, q) for k in range(400)])
+    # 400 terms, far past the default cut at K = 38
+    c, _ = weights(fam, y, q, k_min=399)
+    kq = np.array([q_integer(k, q) for k in range(len(c))])
+    assert len(c) == 400
     for power in (0, 1, 2):
-        dense = float(np.sum(pref * kq**power))
+        dense = float(np.sum(c * kq**power))
         assert moment_sum(fam, y, q, power) == pytest.approx(dense, rel=1e-11)
 
 

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from qapprox.cli import main
@@ -90,13 +88,14 @@ def test_failed_check_exits_1(tmp_path, capsys):
     assert "identity=" in fail_lines[0] and "residual=" in fail_lines[0]
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("QAPPROX_THREADS", "zero")
-    assert run(["moments", "--out", str(tmp_path / "x.csv")]) == 2
-    monkeypatch.setenv("QAPPROX_THREADS", "0")
-    assert run(["moments", "--out", str(tmp_path / "x.csv")]) == 2
-    monkeypatch.setenv("QAPPROX_THREADS", "4")
-    assert run(["moments", "--out", str(tmp_path / "x.csv")]) == 0
+def test_moments_non_finite_row_fails(tmp_path, capsys):
+    # at q=0.999 the closed and series moments overflow to NaN near x_max
+    out = tmp_path / "m.csv"
+    rc = run(["moments", "--q", "0.999", "--n", "1000", "--grid", "0:auto:3", "--out", str(out)])
+    assert rc == 1
+    assert "nan" in out.read_text()
+    fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
+    assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments ")
 
 
 def test_stdout_when_no_out_flag(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qapprox.appell import weights
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.operators import (
     DEFAULT_TRUNCATION,
@@ -95,6 +96,28 @@ def test_evaluate_matches_moment_series():
     for x in (0.1, 0.5, 1.5):
         assert evaluate(op, e1, x) == pytest.approx(moment_series(op, 1, x), rel=1e-9)
         assert evaluate(op, e2, x) == pytest.approx(moment_series(op, 2, x), rel=1e-9)
+
+
+def test_evaluate_sweep_e0_e1():
+    e0 = preset_function("e0")
+    e1 = preset_function("e1")
+    for fam in ("one", "affine", "quad"):
+        for q in (0.5, 0.9, 0.99):
+            for n in (10, 1000):
+                op = make_operator(n, q, math.sqrt(n), fam)
+                for frac in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    x = frac * op.x_max
+                    assert abs(evaluate(op, e0, x) - 1.0) <= 1e-12
+                    want = moment_series(op, 1, x)
+                    assert evaluate(op, e1, x) == pytest.approx(want, rel=1e-11)
+
+
+def test_evaluate_cut_pinned():
+    # terms evaluate sums for a target bounded by 1 (e0, sin)
+    op = make_operator(1000, 0.99, math.sqrt(1000), "affine")
+    for frac, terms in ((0.0, 17), (0.95, 583)):
+        c, kq = weights(op.family, op.y(frac * op.x_max), op.q, bound=1.0)
+        assert len(c) == len(kq) == terms
 
 
 def test_moment_closed_vs_series_smoke():
@@ -235,6 +258,14 @@ def test_classical_poisson_moments():
     got = classical_evaluate(30, math.sqrt(30), e2, 1.0)
     assert got == pytest.approx(want, rel=1e-9)
     assert got == pytest.approx(1.1825741858350063, rel=1e-13)
+
+
+def test_classical_large_lambda():
+    # lambda = n x / b_n = 1000: e^{-lambda} alone underflows to 0
+    e0 = preset_function("e0")
+    e1 = preset_function("e1")
+    assert classical_evaluate(10_000, 100.0, e0, 10.0) == pytest.approx(1.0, abs=1e-10)
+    assert classical_evaluate(10_000, 100.0, e1, 10.0) == pytest.approx(10.0, abs=1e-10)
 
 
 def test_classical_limit_trend():
