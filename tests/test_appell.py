@@ -79,6 +79,19 @@ def test_weight_matches_direct_formula():
                 assert kq[k] == pytest.approx(q_integer(k, q), rel=1e-14)
 
 
+def test_weight_prefix_matches_scalar():
+    # an early cut is a prefix of a late one, and each entry is the scalar c_k(y)
+    fam = family_by_name("affine")
+    y, q = 0.7, 0.8
+    short, _ = weights(fam, y, q, k_min=0)
+    long, _ = weights(fam, y, q, k_min=60)
+    assert 10 <= len(short) < len(long)
+    np.testing.assert_allclose(short, long[: len(short)], rtol=1e-13)
+    for k in range(10):
+        want = sum(fam.coeffs[j] * y ** (k - j) / q_factorial(k - j, q) for j in range(min(k, 1) + 1))
+        assert short[k] == pytest.approx(want, rel=1e-13)
+
+
 @given(
     st.sampled_from(["one", "affine", "quad"]),
     st.floats(min_value=0.0, max_value=1.0),
