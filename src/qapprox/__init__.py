@@ -67,7 +67,6 @@ from .statconv import (
     WeightedNorm,
     clip_grid_for,
     is_perfect_square,
-    korovkin_curve,
     korovkin_table,
     natural_density,
     st_limit_verify,

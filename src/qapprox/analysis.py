@@ -140,7 +140,7 @@ def weighted_modulus(f, delta: float, lam: float, grid: GridSpec) -> float:
     """Like modulus but each difference is damped by 1 + x^(2+lam).
 
     The sup runs over ordered pairs, so the denominator is taken at the
-    smaller abscissa (where it is smallest); computed for fidelity reporting.
+    smaller abscissa (where it is smallest).
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -324,9 +324,6 @@ def check_rate_theorem(
         "delta_n": dn.value,
         "delta_n_printed": dn.printed,
         "modulus": omega,
-        "weighted_modulus_lam0": weighted_modulus(f, root, 0.0, ext)
-        if root > 0.0
-        else 0.0,
     }
     return BoundReport("rate", xs, lhs, rhs, extras)
 
@@ -413,9 +410,5 @@ def check_local_theorem(
         "second_modulus": w2,
         "shift_modulus": w_shift,
         "shift_sup": shift_sup,
-        # fidelity: the bound as printed feeds phi_n unrooted into the modulus
-        "second_modulus_unrooted": second_modulus(f, pn.value, grid)
-        if pn.value > 0.0
-        else 0.0,
     }
     return BoundReport("local", xs, lhs, rhs, extras)

@@ -30,6 +30,7 @@ from .analysis import (
 from .appell import FAMILIES, family_from_spec, family_functionals, moment_sum
 from .errors import ConfigError, DomainError, EvaluationError, TruncationCapError
 from .operators import (
+    TruncationPolicy,
     make_operator,
     moment_closed,
     moment_closed_uncorrected,
@@ -66,7 +67,6 @@ _DEFAULTS = {
         "family": "affine",
         "ns": "16,64,256,1024",
         "grid": "0:1:101",
-        "tol": "1e-12",
         "out": None,
     },
     "rates": {
@@ -408,9 +408,9 @@ def _run_moments(res: dict) -> int:
     for i in (0, 1, 2):
         for x in grid.xs():
             x = float(x)
-            closed = moment_closed(op, i, x, tol)
+            closed = moment_closed(op, i, x)
             series = moment_series(op, i, x, tol)
-            printed = moment_closed_uncorrected(op, i, x, tol)
+            printed = moment_closed_uncorrected(op, i, x)
             rows.append(
                 "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
                 % (i, x, closed, series, printed, closed - series, printed - series)
@@ -460,7 +460,6 @@ def _run_converge(res: dict) -> int:
         "family": fam.name,
         "ns": ",".join(str(n) for n in ns),
         "grid": "%s:%s:%d" % (_fmt(eff.x_lo), _fmt(eff.x_hi), pts),
-        "tol": _as_float(res["tol"], "tol", lo=0.0),
         "out": res["out"] or "-",
     }
     lines = [_comment("converge", cfg)]
@@ -502,10 +501,11 @@ def _run_rates(res: dict) -> int:
     else:
         alpha = 0.5
 
-    reports = [check_rate_theorem(op, f, grid)]
+    trunc = TruncationPolicy(tol=cfg["tol"])
+    reports = [check_rate_theorem(op, f, grid, trunc)]
     if f.lip is not None:
-        reports.append(check_lipschitz_theorem(op, f, f_lo, f_hi, grid))
-    reports.append(check_maximal_theorem(op, f, alpha, grid))
+        reports.append(check_lipschitz_theorem(op, f, f_lo, f_hi, grid, trunc))
+    reports.append(check_maximal_theorem(op, f, alpha, grid, trunc))
 
     cfg.update(function=f.name, f_lo=f_lo, f_hi=f_hi, alpha=alpha)
     lines = [_comment("rates", cfg)]
@@ -536,7 +536,7 @@ def _run_rates(res: dict) -> int:
 def _run_local(res: dict) -> int:
     f = _function(res["function"])
     op, grid, cfg = _operator_and_grid(res)
-    rep = check_local_theorem(op, f, grid)
+    rep = check_local_theorem(op, f, grid, TruncationPolicy(tol=cfg["tol"]))
 
     cfg["function"] = f.name
     lines = [_comment("local", cfg)]

@@ -7,7 +7,8 @@ sequence b_n,
 
 which reproduces constants exactly and, for symbols with zero derivative at 1,
 reproduces linear functions as well.  Closed forms for the first three
-monomial moments are provided next to a brute-force series oracle; the
+monomial moments are exact (D_q e_q = e_q makes every e_q ratio in them a
+polynomial in y) and sit next to a brute-force series oracle; the
 second-moment closed form used everywhere is the series-verified one, while
 `moment_closed_uncorrected` keeps the weaker variant around for fidelity
 tables.  A classical (q = 1) Poisson-weighted reference operator rounds out
@@ -258,12 +259,13 @@ def evaluate(
     return float(c @ fv / c.sum())
 
 
-def _ratio_eq(op: OperatorInstance, z: float, y: float, tol: float) -> float:
-    """R(z) = e_q(z)/e_q(y), the damping factor in the moment closed forms."""
-    return eq_exp(z, op.q, tol) / eq_exp(y, op.q, tol)
+def _damping(op: OperatorInstance, y: float) -> float:
+    """R(qy) = e_q(qy)/e_q(y) = 1 - (1-q) y, exact because D_q e_q = e_q;
+    R(q^2 y) = R(qy) (1 - (1-q) q y)."""
+    return 1.0 - (1.0 - op.q.q) * y
 
 
-def moment_closed(op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_TOL) -> float:
+def moment_closed(op: OperatorInstance, i: int, x: float) -> float:
     """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form."""
     _check_x(op, x)
     if i == 0:
@@ -272,11 +274,11 @@ def moment_closed(op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_T
     y = op.y(x)
     fns = op.functionals
     s = op.scale
-    r_qy = _ratio_eq(op, q * y, y, tol)
+    r_qy = _damping(op, y)
     if i == 1:
         return x + (fns.DqA1 / fns.A1) * r_qy * s
     if i == 2:
-        r_q2y = _ratio_eq(op, q * q * y, y, tol)
+        r_q2y = r_qy * _damping(op, q * y)
         return (
             q * x * x
             + x * s
@@ -286,9 +288,7 @@ def moment_closed(op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_T
     raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
 
 
-def moment_closed_uncorrected(
-    op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_TOL
-) -> float:
+def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
     """Weaker second-moment variant kept for fidelity tables.
 
     Orders 0 and 1 coincide with moment_closed; order 2 drops the terms that
@@ -297,13 +297,12 @@ def moment_closed_uncorrected(
     """
     _check_x(op, x)
     if i in (0, 1):
-        return moment_closed(op, i, x, tol)
+        return moment_closed(op, i, x)
     if i == 2:
         q = op.q.q
-        y = op.y(x)
         fns = op.functionals
         s = op.scale
-        r_qy = _ratio_eq(op, q * y, y, tol)
+        r_qy = _damping(op, op.y(x))
         return (
             x * x
             + x * s * r_qy * (q * fns.DqAq + fns.DqA1) / fns.A1
@@ -323,21 +322,20 @@ def moment_series(op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_T
     return op.scale**i * raw / norm
 
 
-def central_moment2(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> float:
+def central_moment2(op: OperatorInstance, x: float) -> float:
     """Second moment about x; nonnegative on the guarded domain."""
-    m1 = moment_closed(op, 1, x, tol)
-    m2 = moment_closed(op, 2, x, tol)
+    m1 = moment_closed(op, 1, x)
+    m2 = moment_closed(op, 2, x)
     return m2 - 2.0 * x * m1 + x * x
 
 
-def shift_term(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> float:
+def shift_term(op: OperatorInstance, x: float) -> float:
     """s_n(x), the first-moment bias: moment_closed(1, x) - x."""
     _check_x(op, x)
     fns = op.functionals
     if fns.DqA1 == 0.0:
         return 0.0
-    y = op.y(x)
-    return (fns.DqA1 / fns.A1) * _ratio_eq(op, op.q.q * y, y, tol) * op.scale
+    return (fns.DqA1 / fns.A1) * _damping(op, op.y(x)) * op.scale
 
 
 def auxiliary_evaluate(
@@ -348,7 +346,7 @@ def auxiliary_evaluate(
 ) -> float:
     """Bias-compensated variant; reproduces linear functions exactly."""
     f = as_target(f)
-    s = shift_term(op, x, trunc.tol)
+    s = shift_term(op, x)
     return evaluate(op, f, x, trunc) - float(f.fn(x + s)) + float(f.fn(x))
 
 

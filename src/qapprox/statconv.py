@@ -28,7 +28,6 @@ __all__ = [
     "natural_density",
     "st_limit_verify",
     "clip_grid_for",
-    "korovkin_curve",
     "korovkin_table",
 ]
 
@@ -114,48 +113,28 @@ def clip_grid_for(schedule: ScheduleSpec, ns, grid: GridSpec) -> GridSpec:
     return GridSpec(grid.x_lo, hi, grid.points)
 
 
-def korovkin_curve(
-    schedule: ScheduleSpec,
-    family: AppellFamily,
-    v: int,
-    ns,
-    grid: GridSpec,
-) -> list:
-    """[(n, weighted error of the v-th monomial moment)] along the schedule."""
-    if v not in (0, 1, 2):
-        raise ValueError(f"monomial order must be 0, 1 or 2, got {v}")
-    eff = clip_grid_for(schedule, ns, grid)
-    norm = WeightedNorm(eff)
-    out = []
-    for n in ns:
-        op = make_operator(n, schedule.q_at(n), schedule.b_at(n), family)
-        xs = eff.xs()
-        errs = [moment_closed(op, v, float(x)) - float(x) ** v for x in xs]
-        out.append((n, norm.of_values(errs)))
-    return out
-
-
 def korovkin_table(
     schedule: ScheduleSpec,
     family: AppellFamily,
     ns,
     grid: GridSpec,
 ) -> list:
-    """Rows (n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) for CSV emission."""
-    curves = [dict(korovkin_curve(schedule, family, v, ns, grid)) for v in (0, 1, 2)]
+    """Rows (n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) for CSV emission.
+
+    err_v is the weighted error of the v-th monomial moment on the grid,
+    clipped once so that every operator along ns can evaluate on it.
+    """
+    eff = clip_grid_for(schedule, ns, grid)
+    norm = WeightedNorm(eff)
+    xs = [float(x) for x in eff.xs()]
     rows = []
     for n in ns:
         q = schedule.q_at(n)
         bn = schedule.b_at(n)
-        rows.append(
-            (
-                n,
-                q,
-                bn,
-                bn / q_integer(n, q),
-                curves[0][n],
-                curves[1][n],
-                curves[2][n],
-            )
-        )
+        op = make_operator(n, q, bn, family)
+        errs = [
+            norm.of_values([moment_closed(op, v, x) - x**v for x in xs])
+            for v in (0, 1, 2)
+        ]
+        rows.append((n, q, bn, bn / q_integer(n, q), *errs))
     return rows

@@ -98,6 +98,22 @@ def test_moments_non_finite_row_fails(tmp_path, capsys):
     assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments ")
 
 
+def test_local_tol_reaches_the_checker(tmp_path):
+    def rows(*extra):
+        out = tmp_path / "l.csv"
+        assert run(["local", "--out", str(out), *extra]) == 0
+        return [l for l in out.read_text().splitlines() if not l.startswith("#")]
+
+    assert rows("--tol", "1e-3") != rows()
+
+
+def test_converge_has_no_tol_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["converge", "--tol", "1e-12", "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_stdout_when_no_out_flag(capsys):
     assert run(["moments"]) == 0
     text = capsys.readouterr().out

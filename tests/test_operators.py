@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qapprox.operators
+from qapprox.analysis import GridSpec, delta_n, phi_n
 from qapprox.appell import weights
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.operators import (
@@ -22,6 +26,7 @@ from qapprox.operators import (
     preset_function,
     shift_term,
 )
+from qapprox.statconv import ScheduleSpec, korovkin_table
 
 
 def test_truncation_policy_validation():
@@ -211,6 +216,42 @@ def test_central_moment2_nonnegative_and_oracle():
         assert mu2 >= -1e-12
         probe = as_target(lambda t, x=x: (t - x) ** 2)
         assert mu2 == pytest.approx(evaluate(op, probe, x), rel=1e-9, abs=1e-12)
+
+
+def test_closed_forms_sum_no_series(monkeypatch):
+    # e_q(qy)/e_q(y) = 1 - (1-q)y exactly, so no closed form needs e_q
+    def no_series(*args, **kwargs):
+        raise AssertionError("closed forms must not sum a q-exponential series")
+
+    monkeypatch.setattr(qapprox.operators, "eq_exp", no_series)
+    op = make_operator(1000, 0.99, math.sqrt(1000), "quad")
+    x = 0.5 * op.x_max
+    for i in (0, 1, 2):
+        assert math.isfinite(moment_closed(op, i, x))
+        assert math.isfinite(moment_closed_uncorrected(op, i, x))
+    assert math.isfinite(shift_term(op, x))
+    assert math.isfinite(central_moment2(op, x))
+    grid = GridSpec(0.0, op.x_max, 11)
+    assert math.isfinite(delta_n(op, grid).value)
+    assert math.isfinite(phi_n(op, grid).value)
+    rows = korovkin_table(ScheduleSpec("smooth"), op.family, (16, 64), GridSpec(0.0, 1.0, 11))
+    assert len(rows) == 2
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.999, exclude_min=True),
+    st.integers(min_value=1, max_value=2000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(("one", "affine", "quad")),
+)
+def test_closed_forms_finite_and_consistent(q, n, frac, fam):
+    op = make_operator(n, q, math.sqrt(n), fam)
+    x = frac * op.x_max
+    m = [moment_closed(op, i, x) for i in (0, 1, 2)]
+    shift, mu2 = shift_term(op, x), central_moment2(op, x)
+    assert all(math.isfinite(v) for v in m + [moment_closed_uncorrected(op, 2, x), shift, mu2])
+    assert abs((m[1] - x) - shift) <= 1e-12 * max(1.0, m[1])
+    assert mu2 >= -1e-12 * (1.0 + x * x)
 
 
 def test_domain_guard():

@@ -10,7 +10,6 @@ from qapprox.statconv import (
     WeightedNorm,
     clip_grid_for,
     is_perfect_square,
-    korovkin_curve,
     korovkin_table,
     natural_density,
     st_limit_verify,
@@ -150,14 +149,3 @@ def test_korovkin_spiky_diverges_on_squares():
     v2 = [r[6] for r in rows]
     assert v2[-1] >= v2[0]
     assert v2[-1] - v2[0] >= 0.4
-
-
-def test_korovkin_curve_matches_table():
-    sched = ScheduleSpec("smooth")
-    fam = family_by_name("affine")
-    grid = GridSpec(0.0, 1.0, 101)
-    curve = korovkin_curve(sched, fam, 2, (16, 64), grid)
-    rows = korovkin_table(sched, fam, (16, 64), grid)
-    assert curve[0][0] == 16
-    assert curve[0][1] == pytest.approx(rows[0][6], rel=1e-14)
-    assert curve[1][1] == pytest.approx(rows[1][6], rel=1e-14)
