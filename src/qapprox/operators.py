@@ -28,7 +28,7 @@ from .appell import (
     Functionals,
     family_from_spec,
     family_functionals,
-    weights,
+    scaled_weights,
 )
 from .errors import DomainError, EvaluationError, TruncationCapError
 from .qcore import DEFAULT_TOL, SERIES_CAP, QValue, as_qvalue, eq_exp, q_integer
@@ -186,6 +186,12 @@ class OperatorInstance:
     x_max: float = field(init=False)
     node_sup: float = field(init=False)
     functionals: Functionals = field(init=False)
+    # [f, its sup bound on the nodes, f at the first nodes] for the last
+    # target evaluated: the node set does not depend on x, so evaluating a
+    # grid calls f once per node
+    _target: list = field(
+        init=False, repr=False, compare=False, default_factory=lambda: [None, 0.0, np.zeros(0)]
+    )
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -245,18 +251,28 @@ def evaluate(
     x: float,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> float:
-    """Operator value at x, truncated under a proven geometric tail bound."""
+    """Operator value at x, truncated under a proven geometric tail bound.
+
+    The weights are scaled by their largest term, which cancels in the
+    ratio, so the value stays finite on the whole guarded domain.
+    """
     _check_x(op, x)
     f = as_target(f)
-    bound = _node_sup_bound(f, op.node_sup)
-    c, kq = weights(op.family, op.y(x), op.q, bound, trunc.tol, trunc.k_min, trunc.k_max)
-    nodes = kq * op.scale
-    fv = np.array([f.fn(t) for t in nodes], dtype=float)
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
-    return float(c @ fv / c.sum())
+    slot = op._target
+    if slot[0] is not f:
+        slot[:] = f, _node_sup_bound(f, op.node_sup), np.zeros(0)
+    c, kq, _ = scaled_weights(
+        op.family, op.y(x), op.q, slot[1], trunc.tol, trunc.k_min, trunc.k_max
+    )
+    if len(slot[2]) < len(kq):
+        nodes = kq[len(slot[2]) :] * op.scale
+        fv = np.array([f.fn(t) for t in nodes.tolist()], dtype=float)
+        bad = ~np.isfinite(fv)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
+        slot[2] = np.concatenate([slot[2], fv])
+    return float(c @ slot[2][: len(kq)] / c.sum())
 
 
 def _damping(op: OperatorInstance, y: float) -> float:

@@ -15,6 +15,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError, TruncationCapError
 
 __all__ = [
@@ -61,12 +63,21 @@ def as_qvalue(q) -> QValue:
     return q if isinstance(q, QValue) else QValue(float(q))
 
 
+def q_integers(r, q: float):
+    """[r]_q elementwise for a float r or an array of them, no validation.
+
+    1 - q^r is formed as -expm1(r log q): subtracting q^r from 1 would lose
+    about 1/(r(1-q)) ulps for q near 1.  Each entry depends on its own r
+    only, so a table built in pieces equals one built at once, bit for bit.
+    """
+    return -np.expm1(r * math.log(q)) / (1.0 - q)
+
+
 def q_integer(r: int, q) -> float:
     """[r]_q = (1-q^r)/(1-q), the q-analogue of the integer r."""
     if r < 0 or r != int(r):
         raise ValueError(f"r must be a nonnegative integer, got {r!r}")
-    qv = as_qvalue(q)
-    return (1.0 - qv.q ** int(r)) / (1.0 - qv.q)
+    return float(q_integers(float(r), as_qvalue(q).q))
 
 
 def q_factorial(n: int, q) -> float:
@@ -75,10 +86,8 @@ def q_factorial(n: int, q) -> float:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     qv = as_qvalue(q)
     out = 1.0
-    qpow = 1.0
     for j in range(1, int(n) + 1):
-        qpow *= qv.q
-        out *= (1.0 - qpow) / (1.0 - qv.q)
+        out *= q_integer(j, qv)
     if math.isinf(out):
         raise OverflowError(f"q-factorial overflowed at n={n}, q={qv.q}")
     return out

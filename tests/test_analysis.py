@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qapprox.analysis
 from qapprox.analysis import (
     BoundReport,
     GridSpec,
@@ -20,7 +21,8 @@ from qapprox.analysis import (
     weighted_modulus,
 )
 from qapprox.errors import DomainError
-from qapprox.operators import as_target, make_operator, preset_function
+from qapprox.appell import weights
+from qapprox.operators import TargetFunction, as_target, evaluate, make_operator, preset_function
 from qapprox.statconv import ScheduleSpec
 
 
@@ -240,6 +242,31 @@ def test_local_checker_frozen_k_hat():
     assert rep.extras["k_hat"] == pytest.approx(0.3940397588794073, rel=1e-9)
     assert rep.extras["phi_n"] == pytest.approx(0.25506203258512183, rel=1e-12)
     assert rep.extras["shift_sup"] == 0.0
+
+
+def test_local_checker_calls_f_once_per_node(monkeypatch):
+    # the node set does not depend on x, so one grid needs f at each node once
+    op = make_operator(1000, 0.99, math.sqrt(1000), "affine")
+    grid = GridSpec(0.0, op.x_max, 101)
+    inside, calls = [False], [0]
+
+    def counted_sin(t):
+        calls[0] += inside[0]
+        return math.sin(t)
+
+    def counting_evaluate(*args, **kwargs):
+        inside[0] = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(qapprox.analysis, "evaluate", counting_evaluate)
+    f = TargetFunction(counted_sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0)
+    assert check_local_theorem(op, f, grid).passed
+    cuts = [len(weights(op.family, op.y(x), op.q, bound=1.0)[0]) for x in grid.xs()]
+    # one more call: f(0) in the sup bound, made once per target
+    assert calls[0] <= max(cuts) + 1 < sum(cuts)
 
 
 def test_local_checker_shift_free_reduction():

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import pytest
 
 from qapprox.cli import main
@@ -96,6 +99,19 @@ def test_moments_non_finite_row_fails(tmp_path, capsys):
     assert "nan" in out.read_text()
     fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
     assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments ")
+
+
+def test_certificates_finite_at_q0999(tmp_path, capsys):
+    # near x_max at q=0.999 the weights pass the float range; evaluate's ratio must not
+    common = ["--q", "0.999", "--n", "1000", "--family", "affine", "--grid", "0:auto:101"]
+    for argv in (["local"], ["rates", "--function", "abspow:0.5:2"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv + common + ["--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert not re.search(r"\b(nan|inf)\b", out.read_text(), re.IGNORECASE), argv
 
 
 def test_local_tol_reaches_the_checker(tmp_path):

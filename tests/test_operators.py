@@ -254,6 +254,22 @@ def test_closed_forms_finite_and_consistent(q, n, frac, fam):
     assert mu2 >= -1e-12 * (1.0 + x * x)
 
 
+@given(
+    st.floats(min_value=0.0, max_value=0.999, exclude_min=True),
+    st.integers(min_value=1, max_value=2000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(("one", "affine", "quad")),
+)
+def test_evaluate_finite_normalised_positive(q, n, frac, fam):
+    op = make_operator(n, q, math.sqrt(n), fam)
+    x = frac * op.x_max
+    assert abs(evaluate(op, preset_function("e0"), x) - 1.0) <= 1e-14
+    for name in ("e1", "expneg"):  # nonnegative targets
+        v = evaluate(op, preset_function(name), x)
+        assert math.isfinite(v) and v >= 0.0, name
+    assert math.isfinite(evaluate(op, preset_function("sin"), x))
+
+
 def test_domain_guard():
     op = make_operator(10, 0.8, 2.0, "affine")
     e1 = preset_function("e1")
