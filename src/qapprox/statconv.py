@@ -59,6 +59,46 @@ class ScheduleSpec:
             raise ValueError(f"index must be >= 1, got {n}")
         return n**0.25
 
+    # Off the squares the float deviation |q_at(k) - 1| = |(1 - k^-1/2) - 1|
+    # is nonincreasing in k (k^-1/2 falls by over an ulp per step for
+    # k < 2^50, and rounding is monotone); on the spiky squares it is 1/2.
+    # The two methods below apply that very float expression to O(log N)
+    # indices, so they equal brute force over k <= N bit for bit, whatever
+    # eps is.
+
+    def exceptional_count(self, eps: float, N: int) -> int:
+        """|{k <= N : |q_at(k) - 1| >= eps}|, the count st_limit_verify takes."""
+        if eps <= 0.0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        smooth = ScheduleSpec("smooth")
+        # bisect for the last k <= N where the off-square deviation reaches eps
+        lo, hi = 0, N + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if abs(smooth.q_at(mid) - 1.0) >= eps:
+                lo = mid
+            else:
+                hi = mid
+        if self.kind == "smooth":
+            return lo
+        squares = math.isqrt(N) if abs(0.5 - 1.0) >= eps else 0
+        return lo - math.isqrt(lo) + squares
+
+    def max_dev(self, lo: int, hi: int) -> float:
+        """max |q_at(k) - 1| over lo <= k <= hi, from at most three indices:
+        lo and lo + 1 (squares are never adjacent, so one is not a square)
+        and, on the spiky schedule, the first square in the range."""
+        if not 1 <= lo <= hi:
+            raise ValueError(f"need 1 <= lo <= hi, got {lo}, {hi}")
+        ks = [lo] if lo == hi else [lo, lo + 1]
+        if self.kind == "spiky":
+            square = (math.isqrt(lo - 1) + 1) ** 2
+            if square <= hi:
+                ks.append(square)
+        return max(abs(self.q_at(k) - 1.0) for k in ks)
+
 
 @dataclass(frozen=True)
 class WeightedNorm:

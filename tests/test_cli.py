@@ -1,9 +1,11 @@
+import math
 import re
 import warnings
 
 import pytest
 
 from qapprox.cli import main
+from qapprox.statconv import ScheduleSpec
 
 ALL_COMMANDS = ("identities", "moments", "converge", "rates", "local", "statdemo")
 
@@ -35,6 +37,60 @@ def test_repeat_runs_byte_identical(tmp_path):
         first = out.read_bytes()
         assert run([cmd, "--out", str(out)]) == 0
         assert out.read_bytes() == first
+
+
+def test_statdemo_default_calls_q_at_rarely(monkeypatch, tmp_path):
+    # the counts are closed forms plus a bisection: O(log N) q_at calls per
+    # horizon, where brute force made about 4.4e6 at the default horizons
+    calls = []
+    q_at = ScheduleSpec.q_at
+
+    def counted(self, n):
+        calls.append(n)
+        return q_at(self, n)
+
+    monkeypatch.setattr(ScheduleSpec, "q_at", counted)
+    assert run(["statdemo", "--out", str(tmp_path / "s.csv")]) == 0
+    assert 0 < len(calls) <= 200
+
+
+def _envelope(kind, eps, N):
+    squares = math.isqrt(N) if kind == "spiky" else 0
+    return min(N, math.ceil(1 / eps**2) + squares)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # spiky density rises 26/48 -> 27/49 at the square 49
+        ["--Ns", "48,49", "--eps", "0.2"],
+        # unsorted horizons
+        ["--Ns", "1000,100", "--eps", "0.1"],
+        ["--Ns", "1000,100", "--eps", "0.1", "--schedule", "smooth"],
+    ],
+)
+def test_statdemo_exceptional_envelope(argv, monkeypatch, capsys):
+    assert run(["statdemo"] + argv) == 0
+    kind = "smooth" if "smooth" in argv else "spiky"
+
+    monkeypatch.setattr(
+        ScheduleSpec, "exceptional_count", lambda self, eps, N: _envelope(kind, eps, N)
+    )
+    assert run(["statdemo"] + argv) == 0
+    monkeypatch.setattr(
+        ScheduleSpec, "exceptional_count", lambda self, eps, N: _envelope(kind, eps, N) + 1
+    )
+    capsys.readouterr()
+    assert run(["statdemo"] + argv) == 1
+    assert "FAIL statdemo exceptional count" in capsys.readouterr().out
+
+
+def test_statdemo_envelope_allows_rounding_at_tiny_eps(capsys):
+    # the float predicate counts 10^12 + 53 indices here: rounding 1 - k^-1/2
+    # lifts deviations just below eps = 1e-6 onto it
+    argv = ["statdemo", "--schedule", "smooth", "--eps", "1e-6", "--Ns", str(10**13)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2].split(",")[2] == "0.1000000000053"
 
 
 def test_config_file_and_flag_precedence(tmp_path):

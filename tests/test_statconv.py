@@ -1,9 +1,14 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qapprox.analysis import GridSpec
+from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError
 from qapprox.statconv import (
     ScheduleSpec,
@@ -85,6 +90,65 @@ def test_st_limit_spiky_density_shrinks():
     seq = lambda k: s.q_at(k)
     ds = [st_limit_verify(seq, 1.0, 0.1, N) for N in (1000, 10_000, 100_000, 1_000_000)]
     assert all(b <= a for a, b in zip(ds, ds[1:]))
+
+
+def _brute_statdemo_row(sched, eps, N):
+    def dev(k):
+        return abs(sched.q_at(k) - 1.0)
+
+    return "%d,%.17g,%.17g,%.17g,%.17g" % (
+        N,
+        natural_density(is_perfect_square, N),
+        st_limit_verify(sched.q_at, 1.0, eps, N),
+        max(dev(k) for k in range(1, N + 1)),
+        max(dev(k) for k in range(N // 2 + 1, N + 1)),
+    )
+
+
+def _cli_statdemo_row(kind, eps, N):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli_main(["statdemo", "--schedule", kind, "--Ns", str(N), "--eps", repr(eps)])
+    assert rc == 0, out.getvalue()
+    return out.getvalue().splitlines()[2]
+
+
+@given(
+    kind=st.sampled_from(["smooth", "spiky"]),
+    N=st.integers(1, 10_000),
+    eps=st.one_of(
+        st.floats(0.0, 1.5, exclude_min=True),
+        st.integers(1, 10_000).map(lambda m: 1.0 / math.sqrt(m)),
+        st.just(0.5),
+    ),
+)
+def test_statdemo_rows_match_brute_force(kind, N, eps):
+    assert _cli_statdemo_row(kind, eps, N) == _brute_statdemo_row(ScheduleSpec(kind), eps, N)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "spiky"])
+def test_closed_counts_exhaustive_on_small_indices(kind):
+    # every eps cut-off 1/sqrt(m) and its float neighbours, every range
+    sched = ScheduleSpec(kind)
+    top = 40
+    for m in range(1, top + 6):
+        cut = 1.0 / math.sqrt(m)
+        for eps in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, 2.0)):
+            for N in range(1, top + 1):
+                got = sched.exceptional_count(eps, N) / N
+                assert got == st_limit_verify(sched.q_at, 1.0, eps, N), (eps, N)
+    for lo in range(1, top + 1):
+        for hi in range(lo, top + 1):
+            brute = max(abs(sched.q_at(k) - 1.0) for k in range(lo, hi + 1))
+            assert sched.max_dev(lo, hi) == brute, (lo, hi)
+
+
+@pytest.mark.parametrize("N, sup_dev", [(1, 0.5), (2, 2**-0.5), (3, 2**-0.5)])
+def test_statdemo_spiky_first_indices(N, sup_dev):
+    # k = 1 is a square (deviation 1/2), so the sup moves to k = 2 from N = 2 on
+    sched = ScheduleSpec("spiky")
+    assert sched.max_dev(1, N) == pytest.approx(sup_dev, rel=1e-15)
+    assert _cli_statdemo_row("spiky", 0.6, N) == _brute_statdemo_row(sched, 0.6, N)
 
 
 def test_weighted_norm_values():
