@@ -14,8 +14,10 @@ from .qcore import (
     q_binomial,
     q_derivative,
     eq_exp,
+    log_eq_exp,
     Eq_exp,
     Eq_exp_product,
+    log_Eq_exp_product,
     Eq_exp_series,
     Eq_exp_with_info,
 )
@@ -25,6 +27,7 @@ from .appell import (
     family_by_name,
     family_from_spec,
     family_functionals,
+    identity_residuals,
     moment_sum,
     weights,
 )

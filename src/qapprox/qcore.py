@@ -6,6 +6,10 @@ q-difference quotient, and the two q-exponential series
     small:  e_q(x) = sum_k x^k / [k]_q!          (radius 1/(1-q))
     big:    E_q(x) = sum_k q^(k(k-1)/2) x^k / [k]_q!   (entire)
 
+e_q is summed as the series of its logarithm (`log_eq_exp`), and E_q's
+product as a sum of logs (`log_Eq_exp_product`), so neither cancels nor
+overflows on the way to its value.
+
 All functions are pure and accept either a QValue or a bare float for q.
 """
 
@@ -26,9 +30,11 @@ __all__ = [
     "q_binomial",
     "q_derivative",
     "eq_exp",
+    "log_eq_exp",
     "Eq_exp",
     "Eq_exp_series",
     "Eq_exp_product",
+    "log_Eq_exp_product",
     "Eq_exp_with_info",
     "DEFAULT_TOL",
     "SERIES_CAP",
@@ -117,35 +123,56 @@ def q_derivative(f, x: float, q) -> float:
     return val
 
 
-def eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
-    """Small q-exponential e_q(x), defined for |x| < 1/(1-q).
+def _exp(v: float) -> float:
+    """e^v, and inf past the float range, where math.exp raises."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
-    Terms t_k = x^k/[k]_q! have consecutive ratio x/[k+1]_q, whose magnitude
-    decreases toward (1-q)|x| < 1.  Summation stops once the geometric tail
-    bound |t_k| * r/(1-r) with r = |x|/[k+1]_q (an upper bound for every later
-    ratio) drops below tol relative to the partial sum.
+
+def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+    """log e_q(x) = sum_{m>=1} a^m / (m (1-q^m)), a = (1-q)x, for |x| < 1/(1-q).
+
+    This expands log e_q(x) = -sum_j log(1 - a q^j), the log of the product
+    e_q(x) = 1/prod_j (1 - a q^j) (Gasper & Rahman, Basic Hypergeometric
+    Series, 1.3), and holds for either sign of x.  Since m(1-q^m) increases
+    with m, each term is at most |a| times the one before, so the tail after
+    term M is at most |t_M| |a|/(1-|a|).  The sum stops at the first M where
+    that bound is <= tol: an absolute error in the log, so a relative one in
+    e_q(x).  As |t_m| <= |a|^m/(1-q), that M is known not to lie past the
+    first m with |a|^m/(1-q) |a|/(1-|a|) <= tol, so one numpy pass over that
+    many terms (at most k_max) finds it.
     """
     qv = as_qvalue(q)
     x = float(x)
-    if abs(x) >= qv.radius:
+    a = (1.0 - qv.q) * x
+    if abs(x) >= qv.radius or abs(a) >= 1.0:
         raise DomainError(
             f"eq_exp needs |x| < 1/(1-q) = {qv.radius:.6g}, got x={x!r}"
         )
-    total = 0.0
-    term = 1.0
-    qpow = 1.0  # q^k
-    for k in range(k_max + 1):
-        total += term
-        qpow_next = qpow * qv.q
-        qint_next = (1.0 - qpow_next) / (1.0 - qv.q)  # [k+1]_q
-        ratio = abs(x) / qint_next if qint_next > 0.0 else math.inf
-        if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) <= tol * max(1.0, abs(total)):
-            return total
-        term *= x / qint_next
-        qpow = qpow_next
-    raise TruncationCapError(
-        f"eq_exp({x}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
-    )
+    if a == 0.0:
+        return 0.0
+    tail = abs(a) / (1.0 - abs(a))  # |t_M| times this bounds the tail
+    width = math.ceil((math.log(tol * (1.0 - qv.q)) - math.log(tail)) / math.log(abs(a)))
+    m = np.arange(1.0, min(max(width, 1), k_max) + 1.0)
+    t = np.power(a, m) / (m * -np.expm1(m * math.log(qv.q)))
+    cut = np.abs(t) * tail <= tol
+    if not cut.any():
+        raise TruncationCapError(
+            f"eq_exp({x}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
+        )
+    return float(np.sum(t[: int(np.argmax(cut)) + 1]))
+
+
+def eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+    """Small q-exponential e_q(x) = sum_k x^k/[k]_q!, defined for |x| < 1/(1-q).
+
+    It is exp(log_eq_exp(x)), so it is as accurate for x < 0, where the
+    series alternates and cancels, as for x > 0, and it is inf exactly where
+    e_q(x) passes the float range.
+    """
+    return _exp(log_eq_exp(x, q, tol, k_max))
 
 
 _EqExpInfo = namedtuple("_EqExpInfo", "value method cancellation")
@@ -178,28 +205,69 @@ def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP
     )
 
 
+_PRODUCT_CAP = 1_000_000
+
+
+def _log_product(x: float, q: float, tol: float) -> tuple:
+    """(log|P|, sign of P) for P = prod_j (1 + (1-q) q^j x).
+
+    The J factors with q^j |x| > tol are summed as logs in chunks of
+    SERIES_CAP; the log of the rest is x q^J, plus at most about
+    (x q^J)^2 (1-q)/2, far below tol.  A factor <= 0 (only for
+    x <= -1/(1-q), and only among the first ones) enters as log|factor|
+    and flips the sign, or makes P zero.
+    """
+    b = (1.0 - q) * x
+    log_q = math.log(q)
+    n_factors = max(0, math.ceil(math.log(tol / abs(x)) / log_q)) if x != 0.0 else 0
+    if n_factors > _PRODUCT_CAP:
+        raise TruncationCapError(
+            f"Eq_exp_product({x}, q={q}) needs {n_factors} factors, over {_PRODUCT_CAP}"
+        )
+    log_abs, sign = 0.0, 1.0
+    for start in range(0, n_factors, SERIES_CAP):
+        t = np.arange(start, min(n_factors, start + SERIES_CAP), dtype=float)
+        t *= log_q
+        np.exp(t, out=t)
+        t *= b  # (1-q) q^j x, one chunk-sized array throughout
+        flipped = int(np.count_nonzero(t <= -1.0))  # the leading ones: |t| falls
+        if flipped:
+            if np.any(t == -1.0):
+                return -math.inf, 0.0
+            log_abs += float(np.sum(np.log(-1.0 - t[:flipped])))
+            sign *= (-1.0) ** flipped
+        log_abs += float(np.sum(np.log1p(t[flipped:], out=t[flipped:])))
+    return log_abs + x * q**n_factors, sign
+
+
+def log_Eq_exp_product(x: float, q, tol: float = DEFAULT_TOL) -> float:
+    """log E_q(x) = sum_j log(1 + (1-q) q^j x) for x > -1/(1-q), where every
+    factor of the product is positive.  It sums, in numpy, the logs of the
+    factors `Eq_exp_product` multiplies, independent of every series here."""
+    qv = as_qvalue(q)
+    x = float(x)
+    if x <= -qv.radius:
+        raise DomainError(
+            f"log_Eq_exp_product needs x > -1/(1-q) = {-qv.radius:.6g}, got x={x!r}"
+        )
+    return _log_product(x, qv.q, tol)[0]
+
+
 def Eq_exp_product(x: float, q, tol: float = DEFAULT_TOL) -> float:
     """Big q-exponential via its convergent product (1+(1-q)x)(1+(1-q)qx)...
 
-    The log of the remaining product after factor j is bounded by q^j|x|, so
-    truncation stops once that bound is below tol.
+    The product is formed as the exp of its log (`_log_product`), so nothing
+    under- or overflows on the way: the result is 0 or inf only where E_q(x)
+    itself passes the float range.
     """
-    qv = as_qvalue(q)
-    x = float(x)
-    out = 1.0
-    qpow = 1.0
-    for _ in range(1_000_000):
-        if qpow * abs(x) <= tol:
-            return out
-        out *= 1.0 + (1.0 - qv.q) * qpow * x
-        qpow *= qv.q
-    raise TruncationCapError(f"Eq_exp_product({x}, q={qv.q}) did not converge")
+    log_abs, sign = _log_product(float(x), as_qvalue(q).q, tol)
+    return sign * _exp(log_abs)
 
 
 # Below this magnitude the alternating series for negative arguments is
 # benign: sum|t_k|/|sum t_k| stays O(1), and its error tracks the first
-# omitted term, which shrinks with |x|.  The product form's truncation error
-# is a fixed ~tol regardless of scale, so tiny arguments prefer the series.
+# omitted term, which shrinks with |x|.  Larger negative arguments take the
+# product, where nothing cancels.
 _SERIES_NEG_LIMIT = 0.5
 
 

@@ -8,6 +8,7 @@ before asserting, so the verdict is visible in captured output whether or
 not the assertion holds.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from qapprox.analysis import (
     check_maximal_theorem,
     check_rate_theorem,
 )
-from qapprox.appell import family_by_name, family_functionals, moment_sum
+from qapprox.appell import family_by_name, identity_residuals
 from qapprox.cli import main as cli_main
 from qapprox.operators import (
     TargetFunction,
@@ -35,7 +36,6 @@ from qapprox.operators import (
     preset_function,
     shift_term,
 )
-from qapprox.qcore import Eq_exp, as_qvalue, eq_exp, q_derivative
 from qapprox.statconv import (
     ScheduleSpec,
     is_perfect_square,
@@ -66,37 +66,17 @@ def _central_moment(op, x, p):
     return evaluate(op, g, x)
 
 
+@functools.lru_cache(maxsize=None)
+def _identities(q):
+    """The library's identity rows at q, 100 points per q-calculus identity
+    and 20 per weight sum, keyed by (name, family)."""
+    return {(row.name, row.family): row.residual for row in identity_residuals(q, 100)}
+
+
 def test_criterion_01_q_calculus_identities():
-    worst_recip = 0.0
-    worst_rule = 0.0
-    f = lambda t: math.sin(t + 0.3)
-    g = lambda t: t * t + 0.5
-    fg = lambda t: f(t) * g(t)
-    a = 0.5
-    for q in QS:
-        qv = as_qvalue(q)
-        for x in np.linspace(0.0, 0.9 * qv.radius, 100):
-            x = float(x)
-            worst_recip = max(
-                worst_recip, abs(eq_exp(x, qv) * Eq_exp(-x, qv) - 1.0)
-            )
-        small = lambda t: eq_exp(a * t, qv)
-        large = lambda t: Eq_exp(a * t, qv)
-        for x in np.linspace(0.05, 2.0, 100):
-            x = float(x)
-            lhs = q_derivative(fg, x, qv)
-            df = q_derivative(f, x, qv)
-            dg = q_derivative(g, x, qv)
-            worst_rule = max(worst_rule, _rel(lhs, f(q * x) * dg + g(x) * df))
-            worst_rule = max(worst_rule, _rel(lhs, f(x) * dg + g(q * x) * df))
-        for x in np.linspace(0.0, 0.9 * qv.radius, 100):
-            x = float(x)
-            worst_rule = max(
-                worst_rule, _rel(q_derivative(small, x, qv), a * small(x))
-            )
-            worst_rule = max(
-                worst_rule, _rel(q_derivative(large, x, qv), a * large(q * x))
-            )
+    rules = ("product_rule", "product_rule_alt", "deriv_eq_exp", "deriv_Eq_exp")
+    worst_recip = max(_identities(q)[("eq_times_Eq_neg", "-")] for q in QS)
+    worst_rule = max(_identities(q)[(name, "-")] for q in QS for name in rules)
     ok = worst_recip <= 1e-10 and worst_rule <= 1e-9
     _verdict(
         1, ok, f"reciprocal residual {worst_recip:.3e} (tol 1e-10), "
@@ -105,26 +85,10 @@ def test_criterion_01_q_calculus_identities():
 
 
 def test_criterion_02_generating_identities():
-    worst = 0.0
-    for fam_name in FAMS:
-        fam = family_by_name(fam_name)
-        for q in QS:
-            qv = as_qvalue(q)
-            fns = family_functionals(fam, qv)
-            for y in np.linspace(0.0, 0.9 * qv.radius, 20):
-                y = float(y)
-                ey = eq_exp(y, qv)
-                eqy = eq_exp(qv.q * y, qv)
-                worst = max(worst, _rel(moment_sum(fam, y, qv, 0), fns.A1 * ey))
-                worst = max(
-                    worst,
-                    _rel(
-                        moment_sum(fam, y, qv, 1),
-                        fns.A1 * y * ey + fns.DqA1 * eqy,
-                    ),
-                )
+    sums = ("weight_sum", "weight_sum_first", "weight_sum_second")
+    worst = max(_identities(q)[(name, fam)] for q in QS for fam in FAMS for name in sums)
     ok = worst <= 1e-9
-    _verdict(2, ok, f"weight-sum residual {worst:.3e} over 3 families x 3 q x 20 y (tol 1e-9)")
+    _verdict(2, ok, f"weight-sum residual {worst:.3e} over 3 sums x 3 families x 3 q x 20 y (tol 1e-9)")
 
 
 def test_criterion_03_moment_oracle_and_fidelity():

@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 
+import qapprox.appell
+import qapprox.qcore
 from qapprox.cli import main
 from qapprox.statconv import ScheduleSpec
 
@@ -145,6 +147,60 @@ def test_failed_check_exits_1(tmp_path, capsys):
     fail_lines = [l for l in text.splitlines() if l.startswith("FAIL ")]
     assert len(fail_lines) == 1
     assert "identity=" in fail_lines[0] and "residual=" in fail_lines[0]
+
+
+@pytest.mark.parametrize(
+    "side, rows",
+    [
+        ("log_eq_exp", {"weight_sum", "weight_sum_first", "weight_sum_second"}),
+        ("log_Eq_exp_product", {"eq_times_Eq_neg"}),
+    ],
+)
+def test_identities_non_finite_residual_fails(side, rows, monkeypatch, tmp_path, capsys):
+    # NaN from x > 0 on: the first point is clean, so a plain max() over the
+    # points would keep its residual and print `pass`
+    real = getattr(qapprox.appell, side)
+    monkeypatch.setattr(
+        qapprox.appell, side, lambda x, *a: math.nan if x != 0.0 else real(x, *a)
+    )
+    out = tmp_path / "i.csv"
+    assert run(["identities", "--q", "0.8", "--points", "5", "--out", str(out)]) == 1
+    table = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert len(table) == 14
+    failed = {r[0] for r in table if r[6] == "FAIL"}
+    assert failed == rows
+    assert all(r[4] == "inf" for r in table if r[0] in rows)
+    fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
+    assert len(fail_lines) == 1 and "residual=inf" in fail_lines[0]
+
+
+def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
+    # every row in log or ratio form: finite, passing, no overflow warning, and
+    # one kernel call per x (50) and per y and family (20 x 3), no moment_sum
+    # and no scalar product
+    calls = {}
+    for owner, name in (
+        (qapprox.appell, "scaled_weights"),
+        (qapprox.appell, "moment_sum"),
+        (qapprox.qcore, "Eq_exp_product"),
+    ):
+        calls[name] = 0
+
+        def counted(*a, _real=getattr(owner, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+    out = tmp_path / "i.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["identities", "--q", "0.999", "--points", "50", "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    table = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert len(table) == 14
+    assert all(math.isfinite(float(r[4])) and r[6] == "pass" for r in table)
+    assert calls == {"scaled_weights": 50 + 3 * 20, "moment_sum": 0, "Eq_exp_product": 0}
 
 
 def test_moments_non_finite_row_fails(tmp_path, capsys):

@@ -1,7 +1,11 @@
-"""The closed-form moments and the operator against 50-digit sums written
-with mpmath only.
+"""The q-exponentials, the closed-form moments and the operator against
+50-digit values written with mpmath only.
 
-The reference is the defining weighted sum
+The q-exponentials come from their infinite products,
+
+    log e_q(x) = -sum_j log(1 - (1-q) q^j x),   E_q(x) = 1/e_q(-x),
+
+and the operator reference is the defining weighted sum
 
     L(f; x) = sum_k c_k(y) f(b_n [k]_q/[n]_q) / sum_k c_k(y),   y = x [n]_q / b_n,
 
@@ -16,7 +20,7 @@ import math
 import pytest
 
 from qapprox.operators import evaluate, make_operator, moment_closed, preset_function
-from qapprox.qcore import q_integer
+from qapprox.qcore import Eq_exp, Eq_exp_with_info, eq_exp, log_eq_exp, q_integer
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -135,3 +139,75 @@ def test_q_integer_against_50_digits():
                 ref = (1 - qm**r) / (1 - qm)
                 err = float(abs(mpmath.mpf(q_integer(r, q)) - ref) / ref)
             assert err <= 4e-16, (q, r, err)
+
+
+_EPS = 2.0**-52
+_HALF_SUBNORMAL = mpmath.mpf(2) ** -1075  # a correctly rounded value below this is 0
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_log_eq(x, q):
+    """log e_q(x) = -sum_j log(1 - c q^j), c = (1-q)x, at 50 digits, for the
+    exact binary x and q.  The logs of the factors are summed one by one
+    while |c q^j| > 1e-2 (a few thousand factors at q = 0.999, where
+    `mpmath.qp` raises NoConvergence); the rest, sum_{j>=J} log(1 - u q^j)
+    with |u| <= 1e-2, is -sum_m u^m/(m(1-q^m)), summed to 1e-55."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        u = (1 - q) * mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        while abs(u) > mpmath.mpf(10) ** -2:
+            total -= mpmath.log(1 - u)
+            u *= q
+        power = u
+        for m in range(1, 1000):
+            term = power / (m * (1 - q**m))
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -55:
+                return total
+            power *= u
+    raise ArithmeticError(f"reference tail did not converge at x={x}, q={q}")
+
+
+def _close(got, log_ref, rtol):
+    """got against e^log_ref to rtol relative, and to half the smallest
+    subnormal absolute, so a value below the float range must read 0."""
+    with mpmath.workdps(50):
+        ref = mpmath.exp(log_ref)
+        if ref > mpmath.mpf(1.7976931348623157e308):
+            return got == math.inf
+        return abs(mpmath.mpf(got) - ref) <= rtol * ref + _HALF_SUBNORMAL
+
+
+_EXP_QS = (0.5, 0.9, 0.99, 0.999)
+_EXP_FRACS = (-0.9, -0.5, 0.0, 0.1, 0.5, 0.9, 0.95)
+
+
+def test_eq_exp_against_50_digit_products():
+    # The cut leaves at most tol in the log; rounding adds a few ulps of
+    # sum_m |t_m| = log e_q(|x|).  At q = 0.99, x = -50 the alternating series
+    # gave -1.36e8 for e^-44.8, and at q = 0.999 it hit the term cap.
+    for q in _EXP_QS:
+        radius = 1.0 / (1.0 - q)
+        for frac in _EXP_FRACS:
+            x = frac * radius
+            ref = _reference_log_eq(x, q)
+            bound = 1e-12 + 8 * _EPS * max(1.0, float(_reference_log_eq(abs(x), q)))
+            got = log_eq_exp(x, q)
+            assert abs(got - float(ref)) <= bound, (q, frac, got, float(ref))
+            assert _close(eq_exp(x, q), ref, bound), (q, frac, eq_exp(x, q))
+
+
+def test_Eq_exp_product_route_against_50_digits():
+    # E_q(x) for x <= -1/2 is the product; the first-order tail term leaves
+    # only rounding, a few ulps of |log E_q(x)|, where the bare cut at
+    # q^J |x| <= tol erred by about tol.  At q = 0.999, x = -0.9/(1-q) the
+    # value (e^-752) is below the float range and must read 0.
+    for q in _EXP_QS:
+        radius = 1.0 / (1.0 - q)
+        for frac in (0.5, 0.9, 0.95):
+            x = -frac * radius
+            assert Eq_exp_with_info(x, q).method == "product"
+            log_ref = -_reference_log_eq(-x, q)
+            bound = 4 * _EPS * max(1.0, abs(float(log_ref)))
+            assert _close(Eq_exp(x, q), log_ref, bound), (q, frac, Eq_exp(x, q))

@@ -129,10 +129,14 @@ def test_eq_exp_cap():
 
 
 def test_Eq_series_vs_product_agree():
-    for x in (-1.0, -0.3, 0.5, 3.0):
+    # below -1/(1-q) = -3.33 the first factors are negative: one at x = -4,
+    # two at x = -5
+    for x in (-5.0, -4.0, -1.0, -0.3, 0.5, 3.0):
         s = Eq_exp_series(x, 0.7)
         p = Eq_exp_product(x, 0.7)
         assert s == pytest.approx(p, rel=1e-9, abs=1e-9)
+    assert Eq_exp_product(-4.0, 0.7) < 0.0
+    assert Eq_exp_product(-2.0, 0.5) == 0.0  # the first factor is 1 - (1/2) 2
 
 
 def test_Eq_route_selection():
