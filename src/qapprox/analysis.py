@@ -102,16 +102,6 @@ class BoundReport:
         scale = max(1.0, float(np.max(self.rhs)))
         return bool(np.min(self.margins) >= -_PASS_SLACK * scale)
 
-    def to_csv(self) -> str:
-        lines = ["x,lhs,rhs,margin"]
-        for x, l, r, m in zip(self.xs, self.lhs, self.rhs, self.margins):
-            lines.append("%.17g,%.17g,%.17g,%.17g" % (x, l, r, m))
-        lines.append(
-            "# summary name=%s points=%d sup_lhs=%.17g sup_ratio=%.17g passed=%s"
-            % (self.name, len(self.xs), self.sup_lhs, self.sup_ratio, self.passed)
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _sample(f, xs) -> np.ndarray:
     fn = f.fn if isinstance(f, TargetFunction) else f

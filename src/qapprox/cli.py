@@ -9,7 +9,8 @@ emits a CSV whose first line is a comment holding the fully resolved
 configuration; identical configurations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 a numeric invariant failed (a FAIL line is
-printed), 2 configuration problem, 3 domain violation, 4 series cap hit.
+printed), 2 configuration problem or unwritable --out, 3 domain violation,
+4 series cap hit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import numpy as np
 
 from .analysis import (
     GridSpec,
@@ -49,55 +48,6 @@ _ORACLE_RTOL = 1e-9
 # an `auto` grid top stops this fraction of the way to the guarded x_max
 _AUTO_MARGIN = 0.95
 
-_DEFAULTS = {
-    "identities": {"q": "0.5,0.8,0.95", "points": "100", "tol": "1e-12", "out": None},
-    "moments": {
-        "q": "0.8",
-        "n": "10",
-        "bn": "sqrt",
-        "family": "affine",
-        "grid": "0:auto:41",
-        "tol": "1e-12",
-        "out": None,
-    },
-    "converge": {
-        "schedule": "smooth",
-        "family": "affine",
-        "ns": "16,64,256,1024",
-        "grid": "0:1:101",
-        "out": None,
-    },
-    "rates": {
-        "q": "0.95",
-        "n": "100",
-        "bn": "sqrt",
-        "family": "one",
-        "function": "abspow:0.5:1",
-        "grid": "0:2:81",
-        "f_lo": None,
-        "f_hi": None,
-        "alpha": None,
-        "tol": "1e-12",
-        "out": None,
-    },
-    "local": {
-        "q": "0.95",
-        "n": "100",
-        "bn": "sqrt",
-        "family": "one",
-        "function": "sin",
-        "grid": "0:1:81",
-        "tol": "1e-12",
-        "out": None,
-    },
-    "statdemo": {
-        "schedule": "spiky",
-        "Ns": "1000,10000,100000,1000000",
-        "eps": "0.1",
-        "out": None,
-    },
-}
-
 _FLAG_HELP = {
     "q": "parameter in (0,1); identities accepts a comma list",
     "n": "operator index (positive integer)",
@@ -120,25 +70,7 @@ _FLAG_HELP = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
-def _comment(command: str, cfg: dict) -> str:
-    pairs = " ".join(f"{k}={_fmt(cfg[k])}" for k in sorted(cfg))
-    return f"# command={command} {pairs}"
-
-
-def _emit(out_path, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def _read_config_file(path: str) -> dict:
@@ -159,23 +91,25 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _operator_flags(q: str, n: str, family: str, grid: str, **extra) -> dict:
+    """Flag defaults of a command that builds one operator on one grid."""
+    return {"q": q, "n": n, "bn": "sqrt", "family": family, "grid": grid, "tol": "1e-12", **extra}
+
+
+def _flags(command: str) -> dict:
+    """The command's flag defaults plus `out`, which every command takes."""
+    return {**_COMMANDS[command][1], "out": None}
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """File < flag precedence, then fall back to the command's defaults."""
-    defaults = _DEFAULTS[args.command]
+    defaults = _flags(args.command)
     file_vals = _read_config_file(args.config) if args.config else {}
     for key in file_vals:
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {args.command}")
-    resolved = {}
-    for key, dflt in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_vals:
-            resolved[key] = file_vals[key]
-        else:
-            resolved[key] = dflt
-    return resolved
+    flags = {key: getattr(args, key) for key in defaults if getattr(args, key) is not None}
+    return {**defaults, **file_vals, **flags}
 
 
 def _as_float(raw: str, key: str, lo=None, hi=None) -> float:
@@ -198,10 +132,6 @@ def _as_int(raw: str, key: str, lo=1) -> int:
     if v < lo:
         raise ConfigError(f"{key} must be >= {lo}, got {v}")
     return v
-
-
-def _as_q(raw: str) -> float:
-    return _as_float(raw, "q", lo=0.0, hi=1.0)
 
 
 def _as_int_list(raw: str, key: str) -> list:
@@ -237,33 +167,20 @@ def _resolve_bn(rule: str, n: int) -> float:
     return v
 
 
-def _family(spec: str):
+def _spec(parse, key: str, raw: str):
+    """`parse(raw)`, with the library's ValueError reported as a ConfigError."""
     try:
-        return family_from_spec(spec)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad family {spec!r}: {exc}") from exc
-
-
-def _function(spec: str):
-    try:
-        return preset_function(spec)
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad function {spec!r}: {exc}") from exc
-
-
-def _schedule(spec: str) -> ScheduleSpec:
-    try:
-        return ScheduleSpec(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"bad {key} {raw!r}: {exc}") from exc
 
 
 def _operator_and_grid(res: dict) -> tuple:
     """Operator, grid and shared config entries for moments, rates and local."""
-    q = _as_q(res["q"])
+    q = _as_float(res["q"], "q", lo=0.0, hi=1.0)
     n = _as_int(res["n"], "n")
     bn = _resolve_bn(res["bn"], n)
-    fam = _family(res["family"])
+    fam = _spec(family_from_spec, "family", res["family"])
     op = make_operator(n, q, bn, fam)
     lo, hi, pts = _parse_grid(res["grid"])
     if hi is None:
@@ -276,65 +193,42 @@ def _operator_and_grid(res: dict) -> tuple:
         "family": fam.name,
         "grid": "%s:%s:%d" % (_fmt(lo), _fmt(hi), pts),
         "tol": _as_float(res["tol"], "tol", lo=0.0),
-        "out": res["out"] or "-",
     }
     return op, GridSpec(lo, hi, pts), cfg
 
 
-def _fail(name: str, detail: str) -> int:
-    print(f"FAIL {name} {detail}")
-    return 1
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(b))
-
-
-# ---------------------------------------------------------------- identities
-
-
-def _run_identities(res: dict) -> int:
-    qs = [_as_q(p) for p in res["q"].split(",") if p.strip()]
+def _run_identities(res: dict) -> tuple:
+    qs = [_as_float(p, "q", lo=0.0, hi=1.0) for p in res["q"].split(",") if p.strip()]
     if not qs:
         raise ConfigError(f"no q values in {res['q']!r}")
     pts = _as_int(res["points"], "points", lo=2)
     tol = _as_float(res["tol"], "tol", lo=0.0)
     checks = [(q, row) for q in qs for row in identity_residuals(q, pts, tol)]
 
-    cfg = {"q": res["q"], "points": pts, "tol": tol, "out": res["out"] or "-"}
-    lines = [_comment("identities", cfg)]
-    lines.append("identity,family,q,points,max_residual,tolerance,status")
-    for q, row in checks:
-        lines.append(
-            "%s,%s,%.17g,%d,%.17g,%.17g,%s"
-            % (row.name, row.family, q, row.points, row.residual, row.bound,
-               "pass" if row.residual <= row.bound else "FAIL")
-        )
-    _emit(res["out"], lines)
+    cfg = {"q": res["q"], "points": pts, "tol": tol}
+    rows = [
+        "%s,%s,%.17g,%d,%.17g,%.17g,%s"
+        % (row.name, row.family, q, row.points, row.residual, row.bound,
+           "pass" if row.residual <= row.bound else "FAIL")
+        for q, row in checks
+    ]
+    csv = (cfg, "identity,family,q,points,max_residual,tolerance,status", rows)
     for q, row in checks:
         if row.residual > row.bound:
-            return _fail(
-                "identities",
-                f"identity={row.name} q={_fmt(q)} residual={_fmt(row.residual)} tol={_fmt(row.bound)}",
-            )
-    print(f"identities: {len(checks)} checks, all within tolerance")
-    return 0
+            fail = f"identity={row.name} q={_fmt(q)} residual={_fmt(row.residual)} tol={_fmt(row.bound)}"
+            return (*csv, fail, None)
+    return (*csv, None, f"identities: {len(checks)} checks, all within tolerance")
 
 
-# ------------------------------------------------------------------- moments
-
-
-def _run_moments(res: dict) -> int:
+def _run_moments(res: dict) -> tuple:
     op, grid, cfg = _operator_and_grid(res)
-    tol = cfg["tol"]
-
     rows = []
     worst = (0.0, None)
     for i in (0, 1, 2):
         for x in grid.xs():
             x = float(x)
             closed = moment_closed(op, i, x)
-            series = moment_series(op, i, x, tol)
+            series = moment_series(op, i, x, cfg["tol"])
             printed = moment_closed_uncorrected(op, i, x)
             rows.append(
                 "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
@@ -342,39 +236,24 @@ def _run_moments(res: dict) -> int:
             )
             # a non-finite row must fail the scan, not slip past every `>`
             finite = math.isfinite(closed) and math.isfinite(series)
-            r = _rel(closed, series) if finite else math.inf
+            r = abs(closed - series) / max(1.0, abs(series)) if finite else math.inf
             if r > worst[0]:
                 worst = (r, (i, x))
 
-    lines = [_comment("moments", cfg)]
-    lines.append("i,x,closed,series,printed,closed_minus_series,printed_minus_series")
-    lines.extend(rows)
-    _emit(res["out"], lines)
+    csv = (cfg, "i,x,closed,series,printed,closed_minus_series,printed_minus_series", rows)
     if worst[0] > _ORACLE_RTOL:
         i, x = worst[1]
-        return _fail(
-            "moments",
-            f"closed-vs-series i={i} x={_fmt(x)} rel={_fmt(worst[0])} tol={_fmt(_ORACLE_RTOL)}",
-        )
-    print(
-        "moments: closed vs series max rel %.3g over %d rows" % (worst[0], len(rows))
-    )
-    return 0
+        fail = f"closed-vs-series i={i} x={_fmt(x)} rel={_fmt(worst[0])} tol={_fmt(_ORACLE_RTOL)}"
+        return (*csv, fail, None)
+    return (*csv, None, "moments: closed vs series max rel %.3g over %d rows" % (worst[0], len(rows)))
 
 
-# ------------------------------------------------------------------ converge
-
-
-def _run_converge(res: dict) -> int:
-    sched = _schedule(res["schedule"])
-    fam = _family(res["family"])
+def _run_converge(res: dict) -> tuple:
+    sched = _spec(ScheduleSpec, "schedule", res["schedule"])
+    fam = _spec(family_from_spec, "family", res["family"])
     ns = _as_int_list(res["ns"], "ns")
     lo, hi, pts = _parse_grid(res["grid"])
-    if hi is None:
-        base = GridSpec(lo, 1e30, pts)
-    else:
-        base = GridSpec(lo, hi, pts)
-    eff = clip_grid_for(sched, ns, base)
+    eff = clip_grid_for(sched, ns, GridSpec(lo, 1e30 if hi is None else hi, pts))
     if hi is None:
         # auto: pull in the extra safety margin like the other commands do
         eff = GridSpec(eff.x_lo, _AUTO_MARGIN * eff.x_hi, pts)
@@ -385,37 +264,26 @@ def _run_converge(res: dict) -> int:
         "family": fam.name,
         "ns": ",".join(str(n) for n in ns),
         "grid": "%s:%s:%d" % (_fmt(eff.x_lo), _fmt(eff.x_hi), pts),
-        "out": res["out"] or "-",
     }
-    lines = [_comment("converge", cfg)]
-    lines.append("n,q_n,b_n,bn_over_nq,error_v0,error_v1,error_v2")
-    for row in table:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row)
-    _emit(res["out"], lines)
+    rows = ["%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row for row in table]
+    csv = (cfg, "n,q_n,b_n,bn_over_nq,error_v0,error_v1,error_v2", rows)
 
     err0 = [row[4] for row in table]
     if max(err0) > 1e-10:
-        return _fail("converge", f"error_v0 max={_fmt(max(err0))} tol=1e-10")
+        return (*csv, f"error_v0 max={_fmt(max(err0))} tol=1e-10", None)
     if sched.kind == "smooth":
         for v, col in ((1, 5), (2, 6)):
             errs = [row[col] for row in table]
             flat = all(e <= 1e-10 for e in errs)
             decreasing = all(b < a for a, b in zip(errs, errs[1:]))
             if not (flat or decreasing):
-                return _fail(
-                    "converge",
-                    f"error_v{v} not strictly decreasing: "
-                    + ",".join(_fmt(e) for e in errs),
-                )
-    print(f"converge: {len(table)} rows on grid [{_fmt(eff.x_lo)}, {_fmt(eff.x_hi)}]")
-    return 0
+                fail = f"error_v{v} not strictly decreasing: " + ",".join(_fmt(e) for e in errs)
+                return (*csv, fail, None)
+    return (*csv, None, f"converge: {len(table)} rows on grid [{_fmt(eff.x_lo)}, {_fmt(eff.x_hi)}]")
 
 
-# --------------------------------------------------------------------- rates
-
-
-def _run_rates(res: dict) -> int:
-    f = _function(res["function"])
+def _run_rates(res: dict) -> tuple:
+    f = _spec(preset_function, "function", res["function"])
     op, grid, cfg = _operator_and_grid(res)
     f_lo = _as_float(res["f_lo"], "f_lo") if res["f_lo"] is not None else grid.x_lo
     f_hi = _as_float(res["f_hi"], "f_hi") if res["f_hi"] is not None else grid.x_hi
@@ -433,73 +301,52 @@ def _run_rates(res: dict) -> int:
     reports.append(check_maximal_theorem(op, f, alpha, grid, trunc))
 
     cfg.update(function=f.name, f_lo=f_lo, f_hi=f_hi, alpha=alpha)
-    lines = [_comment("rates", cfg)]
-    lines.append("theorem,x,lhs,rhs,margin")
+    rows = [
+        "%s,%.17g,%.17g,%.17g,%.17g" % (rep.name, x, l, r, m)
+        for rep in reports
+        for x, l, r, m in zip(rep.xs, rep.lhs, rep.rhs, rep.margins)
+    ]
     for rep in reports:
-        for x, l, r, m in zip(rep.xs, rep.lhs, rep.rhs, rep.margins):
-            lines.append("%s,%.17g,%.17g,%.17g,%.17g" % (rep.name, x, l, r, m))
-    for rep in reports:
-        lines.append(
+        rows.append(
             "# summary name=%s sup_lhs=%.17g sup_ratio=%.17g passed=%s"
             % (rep.name, rep.sup_lhs, rep.sup_ratio, rep.passed)
         )
-    _emit(res["out"], lines)
+    csv = (cfg, "theorem,x,lhs,rhs,margin", rows)
 
     for rep in reports:
         if not rep.passed:
-            return _fail(
-                "rates",
-                f"theorem={rep.name} min_margin={_fmt(float(np.min(rep.margins)))}",
-            )
-    print(f"rates: {len(reports)} certificates pass ({', '.join(r.name for r in reports)})")
-    return 0
+            return (*csv, f"theorem={rep.name} min_margin={_fmt(float(rep.margins.min()))}", None)
+    return (*csv, None, f"rates: {len(reports)} certificates pass ({', '.join(r.name for r in reports)})")
 
 
-# --------------------------------------------------------------------- local
-
-
-def _run_local(res: dict) -> int:
-    f = _function(res["function"])
+def _run_local(res: dict) -> tuple:
+    f = _spec(preset_function, "function", res["function"])
     op, grid, cfg = _operator_and_grid(res)
     rep = check_local_theorem(op, f, grid, TruncationPolicy(tol=cfg["tol"]))
 
     cfg["function"] = f.name
-    lines = [_comment("local", cfg)]
-    lines.append("x,lhs,rhs,margin")
-    for x, l, r, m in zip(rep.xs, rep.lhs, rep.rhs, rep.margins):
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (x, l, r, m))
-    lines.append(
-        "# summary k_hat=%.17g phi_n=%.17g phi_n_printed=%.17g second_modulus=%.17g "
-        "shift_modulus=%.17g shift_sup=%.17g passed=%s"
-        % (
-            rep.extras["k_hat"],
-            rep.extras["phi_n"],
-            rep.extras["phi_n_printed"],
-            rep.extras["second_modulus"],
-            rep.extras["shift_modulus"],
-            rep.extras["shift_sup"],
-            rep.passed,
-        )
-    )
-    _emit(res["out"], lines)
+    rows = [
+        "%.17g,%.17g,%.17g,%.17g" % (x, l, r, m)
+        for x, l, r, m in zip(rep.xs, rep.lhs, rep.rhs, rep.margins)
+    ]
+    keys = ("k_hat", "phi_n", "phi_n_printed", "second_modulus", "shift_modulus", "shift_sup")
+    extras = " ".join("%s=%.17g" % (k, rep.extras[k]) for k in keys)
+    rows.append(f"# summary {extras} passed={rep.passed}")
+    csv = (cfg, "x,lhs,rhs,margin", rows)
 
     if not rep.passed:
-        return _fail("local", f"min_margin={_fmt(float(np.min(rep.margins)))}")
+        return (*csv, f"min_margin={_fmt(float(rep.margins.min()))}", None)
     if rep.extras["k_hat"] > 10.0:
-        return _fail("local", f"k_hat={_fmt(rep.extras['k_hat'])} limit=10")
-    print("local: k_hat=%.6g, certificate passes" % rep.extras["k_hat"])
-    return 0
+        return (*csv, f"k_hat={_fmt(rep.extras['k_hat'])} limit=10", None)
+    return (*csv, None, "local: k_hat=%.6g, certificate passes" % rep.extras["k_hat"])
 
 
-# ------------------------------------------------------------------ statdemo
-
-
-def _run_statdemo(res: dict) -> int:
-    sched = _schedule(res["schedule"])
+def _run_statdemo(res: dict) -> tuple:
+    sched = _spec(ScheduleSpec, "schedule", res["schedule"])
     horizons = _as_int_list(res["Ns"], "Ns")
     eps = _as_float(res["eps"], "eps", lo=0.0)
 
-    rows = [
+    table = [
         (
             N,
             math.isqrt(N),
@@ -514,13 +361,12 @@ def _run_statdemo(res: dict) -> int:
         "schedule": sched.kind,
         "Ns": ",".join(str(N) for N in horizons),
         "eps": eps,
-        "out": res["out"] or "-",
     }
-    lines = [_comment("statdemo", cfg)]
-    lines.append("N,density_squares,exceptional_density,sup_dev,tail_dev")
-    for N, squares, exc, sup_dev, tail_dev in rows:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (N, squares / N, exc / N, sup_dev, tail_dev))
-    _emit(res["out"], lines)
+    rows = [
+        "%d,%.17g,%.17g,%.17g,%.17g" % (N, squares / N, exc / N, sup_dev, tail_dev)
+        for N, squares, exc, sup_dev, tail_dev in table
+    ]
+    csv = (cfg, "N,density_squares,exceptional_density,sup_dev,tail_dev", rows)
 
     # |q_k - 1| = k^(-1/2) off the squares, so at most ceil(1/eps^2) indices
     # reach eps there, plus every square on the spiky schedule.  Rounding
@@ -528,26 +374,40 @@ def _run_statdemo(res: dict) -> int:
     # 2^-50/eps^3 more indices through; that term is 0 unless eps < 1e-5.
     cut = 1.0 / eps / eps  # eps**2 overflows, or underflows to 0, at extreme eps
     spiky = sched.kind == "spiky"
-    for N, squares, exc, sup_dev, tail_dev in rows:
+    for N, squares, exc, sup_dev, tail_dev in table:
         if N == 10**6 and squares / N != 0.001:
-            return _fail("statdemo", f"density_squares(1e6)={_fmt(squares / N)} expected=0.001")
+            return (*csv, f"density_squares(1e6)={_fmt(squares / N)} expected=0.001", None)
         slack = math.floor(min(cut / eps * 2.0**-50, N))
         envelope = min(N, math.ceil(min(cut, N)) + slack + (squares if spiky else 0))
         if exc > envelope:
-            return _fail("statdemo", f"exceptional count N={N} count={exc} envelope={envelope}")
-    if spiky and any(row[3] < 0.4 for row in rows):
-        return _fail("statdemo", "sup_dev dropped below 0.4")
-    print(f"statdemo: {len(rows)} horizons, checks pass")
-    return 0
+            return (*csv, f"exceptional count N={N} count={exc} envelope={envelope}", None)
+    if spiky and any(row[3] < 0.4 for row in table):
+        return (*csv, "sup_dev dropped below 0.4", None)
+    return (*csv, None, f"statdemo: {len(table)} horizons, checks pass")
 
 
-_RUNNERS = {
-    "identities": _run_identities,
-    "moments": _run_moments,
-    "converge": _run_converge,
-    "rates": _run_rates,
-    "local": _run_local,
-    "statdemo": _run_statdemo,
+# Each command's runner and flag defaults.  A runner parses its resolved flags,
+# computes, and returns (cfg, header, rows, failure, summary): the config echoed
+# in the comment line, the CSV header, the data and `# summary` lines, the text
+# after `FAIL <command> ` (None when every check passes), and the status line.
+_COMMANDS = {
+    "identities": (_run_identities, {"q": "0.5,0.8,0.95", "points": "100", "tol": "1e-12"}),
+    "moments": (_run_moments, _operator_flags("0.8", "10", "affine", "0:auto:41")),
+    "converge": (
+        _run_converge,
+        {"schedule": "smooth", "family": "affine", "ns": "16,64,256,1024", "grid": "0:1:101"},
+    ),
+    "rates": (
+        _run_rates,
+        _operator_flags(
+            "0.95", "100", "one", "0:2:81", function="abspow:0.5:1", f_lo=None, f_hi=None, alpha=None
+        ),
+    ),
+    "local": (_run_local, _operator_flags("0.95", "100", "one", "0:1:81", function="sin")),
+    "statdemo": (
+        _run_statdemo,
+        {"schedule": "spiky", "Ns": "1000,10000,100000,1000000", "eps": "0.1"},
+    ),
 }
 
 
@@ -557,21 +417,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments for q-exponential summation operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, defaults in _DEFAULTS.items():
+    for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help=_FLAG_HELP["config"])
-        for key in defaults:
+        for key in _flags(command):
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get(key, ""))
+            p.add_argument(flag, dest=key, default=None, help=_FLAG_HELP[key])
     return parser
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        resolved = _resolve(args)
-        return _RUNNERS[args.command](resolved)
+        res = _resolve(args)
+        cfg, header, rows, failure, summary = _COMMANDS[args.command][0](res)
+        cfg["out"] = res["out"] or "-"
+        pairs = " ".join(f"{k}={_fmt(cfg[k])}" for k in sorted(cfg))
+        text = "\n".join([f"# command={args.command} {pairs}", header, *rows]) + "\n"
+        if res["out"]:
+            try:
+                with open(res["out"], "w", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {res['out']}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
@@ -581,12 +455,14 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if failure is not None:
+        print(f"FAIL {args.command} {failure}")
+        return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

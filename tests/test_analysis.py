@@ -52,15 +52,6 @@ def test_bound_report_margins_and_pass():
     assert edge.passed
 
 
-def test_bound_report_csv():
-    xs = np.array([0.0, 1.0])
-    rep = BoundReport("demo", xs, np.array([1.0, 2.0]), np.array([1.5, 2.5]))
-    text = rep.to_csv()
-    assert text.splitlines()[0] == "x,lhs,rhs,margin"
-    assert "# summary name=demo" in text
-    assert "passed=True" in text
-
-
 def test_modulus_sin():
     grid = GridSpec(0.0, 2.0, 2001)
     fsin = preset_function("sin")

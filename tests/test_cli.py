@@ -1,11 +1,15 @@
+import argparse
 import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 import qapprox.appell
+import qapprox.cli
 import qapprox.qcore
+from qapprox.analysis import BoundReport
 from qapprox.cli import main
 from qapprox.statconv import ScheduleSpec
 
@@ -23,13 +27,96 @@ def test_every_command_succeeds(tmp_path):
         assert out.exists()
 
 
-def test_csv_layout(tmp_path):
-    out = tmp_path / "m.csv"
-    assert run(["moments", "--out", str(out)]) == 0
+# perfbench/gate.py parses exactly these lines: the config comment and the header
+OPERATOR_KEYS = ["bn", "bn_value", "family", "grid", "n", "out", "q", "tol"]
+LAYOUTS = {
+    "identities": (
+        "identity,family,q,points,max_residual,tolerance,status",
+        ["out", "points", "q", "tol"],
+    ),
+    "moments": ("i,x,closed,series,printed,closed_minus_series,printed_minus_series", OPERATOR_KEYS),
+    "converge": (
+        "n,q_n,b_n,bn_over_nq,error_v0,error_v1,error_v2",
+        ["family", "grid", "ns", "out", "schedule"],
+    ),
+    "rates": (
+        "theorem,x,lhs,rhs,margin",
+        sorted(OPERATOR_KEYS + ["alpha", "f_hi", "f_lo", "function"]),
+    ),
+    "local": ("x,lhs,rhs,margin", sorted(OPERATOR_KEYS + ["function"])),
+    "statdemo": (
+        "N,density_squares,exceptional_density,sup_dev,tail_dev",
+        ["Ns", "eps", "out", "schedule"],
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", ALL_COMMANDS)
+def test_csv_layout(cmd, tmp_path):
+    out = tmp_path / f"{cmd}.csv"
+    assert run([cmd, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("# command=moments ")
-    assert "," in lines[1]  # header
+    header, keys = LAYOUTS[cmd]
+    assert lines[0].startswith(f"# command={cmd} ")
+    assert sorted(tok.split("=", 1)[0] for tok in lines[0].split()[2:]) == keys
+    assert lines[1] == header
     assert len(lines) > 3
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert run(["moments", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {path}: ")
+    assert "FAIL" not in captured.out and not path.exists()
+
+
+def _failing_maximal(*args):
+    xs = np.array([0.0, 1.0])
+    return BoundReport("maximal", xs, np.array([1.0, 2.0]), np.array([1.0, 1.5]))
+
+
+def _local_k_hat_11(*args):
+    xs = np.array([0.0, 1.0])
+    extras = dict.fromkeys(
+        ("phi_n", "phi_n_printed", "second_modulus", "shift_modulus", "shift_sup"), 0.1
+    )
+    return BoundReport("local", xs, np.zeros(2), np.ones(2), {"k_hat": 11.0, **extras})
+
+
+def _korovkin_v0_off(*args):
+    return [(16, 0.75, 4.0, 0.33, 1e-3, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "cmd, target, fake, text",
+    [
+        ("rates", "check_maximal_theorem", _failing_maximal, "theorem=maximal min_margin=-0.5"),
+        ("local", "check_local_theorem", _local_k_hat_11, "k_hat=11 limit=10"),
+        ("converge", "korovkin_table", _korovkin_v0_off, "error_v0 max=0.001 tol=1e-10"),
+    ],
+)
+def test_failed_check_prints_one_fail_line(cmd, target, fake, text, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(qapprox.cli, target, fake)
+    out = tmp_path / f"{cmd}.csv"
+    assert run([cmd, "--out", str(out)]) == 1
+    fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
+    assert fail_lines == [f"FAIL {cmd} {text}"]
+    assert out.read_text().splitlines()[1] == LAYOUTS[cmd][0]
+
+
+def test_parser_built_once(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert run(["statdemo", "--Ns", "100", "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == []
 
 
 def test_repeat_runs_byte_identical(tmp_path):
