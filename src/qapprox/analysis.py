@@ -104,8 +104,7 @@ class BoundReport:
 
 
 def _sample(f, xs) -> np.ndarray:
-    fn = f.fn if isinstance(f, TargetFunction) else f
-    out = np.array([float(fn(t)) for t in np.asarray(xs, dtype=float)])
+    out = as_target(f)(xs)
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite function value while sampling")
     return out
@@ -151,35 +150,36 @@ def weighted_modulus(f, delta: float, lam: float, grid: GridSpec) -> float:
 def second_modulus(f, delta: float, grid: GridSpec) -> float:
     """sup over x in grid, h in (0, delta] of |f(x+2h) - 2f(x+h) + f(x)|.
 
-    h runs over a fixed 64-point subdivision of (0, delta]; f must be
-    evaluable up to x_hi + 2*delta.
+    h runs over a fixed 64-point subdivision of (0, delta], one row per h;
+    f must be evaluable up to x_hi + 2*delta.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    f = as_target(f)
     xs = grid.xs()
+    hs = delta * np.arange(1, _H_SUBDIVISIONS + 1)[:, None] / _H_SUBDIVISIONS
     v0 = _sample(f, xs)
-    best = 0.0
-    for j in range(1, _H_SUBDIVISIONS + 1):
-        h = delta * j / _H_SUBDIVISIONS
-        v1 = _sample(f, xs + h)
-        v2 = _sample(f, xs + 2.0 * h)
-        best = max(best, float(np.max(np.abs(v2 - 2.0 * v1 + v0))))
-    return best
+    v1 = _sample(f, xs + hs)
+    v2 = _sample(f, xs + 2.0 * hs)
+    return float(np.max(np.abs(v2 - 2.0 * v1 + v0)))
 
 
-def lipschitz_maximal(f, x: float, alpha: float, grid: GridSpec) -> float:
-    """sup over grid t != x of |f(t) - f(x)| / |t - x|^alpha."""
+def lipschitz_maximal(f, alpha: float, grid: GridSpec) -> np.ndarray:
+    """At each grid point x, sup over grid t != x of |f(t) - f(x)| / |t - x|^alpha.
+
+    f is sampled once; the rows are formed one x at a time, since a P x P
+    matrix would cost 32 MB per temporary at 2001 points.
+    """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     xs = grid.xs()
     vals = _sample(f, xs)
-    fn = f.fn if isinstance(f, TargetFunction) else f
-    fx = float(fn(x))
-    dist = np.abs(xs - x)
-    mask = dist > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(vals[mask] - fx) / dist[mask] ** alpha))
+    out = np.empty(len(xs))
+    for i, (x, fx) in enumerate(zip(xs, vals)):
+        dist = np.abs(xs - x)
+        mask = dist > 0.0
+        out[i] = np.max(np.abs(vals[mask] - fx) / dist[mask] ** alpha)
+    return out
 
 
 def _check_grid(op: OperatorInstance, grid: GridSpec) -> None:
@@ -239,27 +239,14 @@ def k2_estimate(f, delta: float, grid: GridSpec) -> float:
     xs = grid.xs()
     step = grid.step
     fvals = _sample(f, xs)
-    f0 = float(f.fn(0.0))
-
-    def extended(s: float) -> float:
-        if s >= 0.0:
-            return float(f.fn(s))
-        return 2.0 * f0 - float(f.fn(-s))
-
+    f0 = f(0.0)
     root2 = math.sqrt(2.0)
     norm = math.sqrt(math.pi)
     best = math.inf
     for h in np.geomspace(delta / 32.0, 4.0 * delta, _K2_BANDWIDTHS):
-        g = np.array(
-            [
-                sum(
-                    w * extended(x + root2 * h * u)
-                    for u, w in zip(_GH_NODES, _GH_WEIGHTS)
-                )
-                / norm
-                for x in xs
-            ]
-        )
+        s = xs[:, None] + root2 * h * _GH_NODES
+        v = f(np.abs(s))
+        g = np.where(s >= 0.0, v, 2.0 * f0 - v) @ _GH_WEIGHTS / norm
         err = float(np.max(np.abs(fvals - g)))
         if g.size >= 3:
             bend = float(np.max(np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]))) / step**2
@@ -278,10 +265,8 @@ def _class_membership(f: TargetFunction) -> None:
 
 
 def _lhs_curve(op, f, xs, trunc) -> np.ndarray:
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        out[i] = abs(evaluate(op, f, float(x), trunc) - float(f.fn(x)))
-    return out
+    lv = np.array([evaluate(op, f, float(x), trunc) for x in xs])
+    return np.abs(lv - f(xs))
 
 
 def _extended_grid(op: OperatorInstance, grid: GridSpec) -> GridSpec:
@@ -360,7 +345,7 @@ def check_maximal_theorem(
     lhs = _lhs_curve(op, f, xs, trunc)
     dn = delta_n(op, grid)
     fac = dn.value ** (alpha / 2.0)
-    rhs = np.array([lipschitz_maximal(f, float(x), alpha, grid) * fac for x in xs])
+    rhs = lipschitz_maximal(f, alpha, grid) * fac
     extras = {"delta_n": dn.value, "alpha": alpha}
     return BoundReport("maximal", xs, lhs, rhs, extras)
 

@@ -64,7 +64,7 @@ _FLAG_HELP = {
     "f_lo": "lower end of the Lipschitz reference set (default grid lo)",
     "f_hi": "upper end of the Lipschitz reference set (default grid hi)",
     "alpha": "Hölder exponent for the maximal-function certificate",
-    "out": "CSV output path (stdout when omitted)",
+    "out": "CSV output path (stdout when omitted or -)",
     "config": "key=value file; command-line flags override it",
 }
 
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         cfg["out"] = res["out"] or "-"
         pairs = " ".join(f"{k}={_fmt(cfg[k])}" for k in sorted(cfg))
         text = "\n".join([f"# command={args.command} {pairs}", header, *rows]) + "\n"
-        if res["out"]:
+        if cfg["out"] != "-":
             try:
                 with open(res["out"], "w", newline="\n") as fh:
                     fh.write(text)

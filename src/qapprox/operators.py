@@ -80,8 +80,11 @@ DEFAULT_TRUNCATION = TruncationPolicy()
 class TargetFunction:
     """A real function on [0, inf) plus optional self-declared bounds.
 
-    growth = (amp, rate) asserts |f(t)| <= amp * exp(rate * t); lip = (M, a)
-    asserts |f(s) - f(t)| <= M * |s - t|**a; bounded asserts sup|f|.  Claims
+    fn is elementwise on float arrays: fn(ts) has the shape of ts (numpy
+    expressions such as np.sin do this; as_target wraps a scalar callable
+    with np.vectorize).  growth = (amp, rate) asserts
+    |f(t)| <= amp * exp(rate * t); lip = (M, a) asserts
+    |f(s) - f(t)| <= M * |s - t|**a; bounded asserts sup|f|.  Claims
     are spot-checked on a fixed audit grid at construction and rejected on
     failure, so downstream truncation bounds can trust them.
     """
@@ -110,12 +113,18 @@ class TargetFunction:
             object.__setattr__(self, "bounded", b)
         self._audit()
 
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+    def __call__(self, t) -> np.ndarray:
+        """f at every point of t; a 0-d array for a scalar t."""
+        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
 
     def _audit(self) -> None:
         ts = np.linspace(0.0, _AUDIT_HI, _AUDIT_POINTS)
-        vals = np.array([float(self.fn(t)) for t in ts])
+        vals = self(ts)
+        if vals.shape != ts.shape:
+            raise ValueError(
+                f"{self.name}: fn returned shape {vals.shape} for {ts.shape} points; "
+                "fn must be elementwise on arrays (wrap a scalar callable with as_target)"
+            )
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{self.name}: non-finite value on the audit grid")
         av = np.abs(vals)
@@ -136,27 +145,29 @@ class TargetFunction:
 
 
 def as_target(f) -> TargetFunction:
+    """f itself if it is a TargetFunction, else the scalar callable f made
+    elementwise with np.vectorize."""
     if isinstance(f, TargetFunction):
         return f
-    return TargetFunction(f, name=getattr(f, "__name__", "anon"))
+    return TargetFunction(np.vectorize(f, otypes=[float]), name=getattr(f, "__name__", "anon"))
 
 
 def preset_function(name: str) -> TargetFunction:
     """Named test functions; abspow takes the form abspow:alpha:center."""
     if name == "e0":
-        return TargetFunction(lambda t: 1.0, "e0", growth=(1.0, 0.0), bounded=1.0)
+        return TargetFunction(np.ones_like, "e0", growth=(1.0, 0.0), bounded=1.0)
     if name == "e1":
-        return TargetFunction(lambda t: t, "e1", growth=(1.0, 1.0), lip=(1.0, 1.0))
+        return TargetFunction(np.positive, "e1", growth=(1.0, 1.0), lip=(1.0, 1.0))
     if name == "e2":
         # t^2 <= e^t on t >= 0 (max of t^2 e^{-t} is 4/e^2 < 1)
-        return TargetFunction(lambda t: t * t, "e2", growth=(1.0, 1.0))
+        return TargetFunction(np.square, "e2", growth=(1.0, 1.0))
     if name == "sin":
         return TargetFunction(
-            math.sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0
+            np.sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0
         )
     if name == "expneg":
         return TargetFunction(
-            lambda t: math.exp(-t), "expneg", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0
+            lambda t: np.exp(-t), "expneg", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0
         )
     if name.startswith("abspow:"):
         parts = name.split(":")
@@ -167,7 +178,7 @@ def preset_function(name: str) -> TargetFunction:
             raise ValueError(f"abspow needs 0 < alpha <= 1 and center >= 0: {name!r}")
         # |t-c|^a <= 1 + t + c <= (1+c) e^t for a <= 1
         return TargetFunction(
-            lambda t, a=alpha, c=center: abs(t - c) ** a,
+            lambda t, a=alpha, c=center: np.abs(t - c) ** a,
             name,
             growth=(1.0 + center, 1.0),
             lip=(1.0, alpha),
@@ -236,12 +247,11 @@ def _node_sup_bound(f: TargetFunction, hi: float) -> float:
         cands.append(amp * math.exp(max(rate, 0.0) * hi))
     if f.lip is not None:
         m, a = f.lip
-        cands.append(abs(f(0.0)) + m * hi**a)
+        cands.append(abs(float(f(0.0))) + m * hi**a)
     if cands:
         return min(cands)
     # no metadata: probe densely and pad; heuristic, documented as such
-    ts = np.linspace(0.0, hi, 257)
-    m = max(abs(float(f.fn(t))) for t in ts)
+    m = float(np.max(np.abs(f(np.linspace(0.0, hi, 257)))))
     return 2.0 * m + 1e-6
 
 
@@ -266,7 +276,7 @@ def evaluate(
     )
     if len(slot[2]) < len(kq):
         nodes = kq[len(slot[2]) :] * op.scale
-        fv = np.array([f.fn(t) for t in nodes.tolist()], dtype=float)
+        fv = f(nodes)
         bad = ~np.isfinite(fv)
         if bad.any():
             k = int(np.argmax(bad))
@@ -363,7 +373,7 @@ def auxiliary_evaluate(
     """Bias-compensated variant; reproduces linear functions exactly."""
     f = as_target(f)
     s = shift_term(op, x)
-    return evaluate(op, f, x, trunc) - float(f.fn(x + s)) + float(f.fn(x))
+    return evaluate(op, f, x, trunc) - float(f(x + s)) + float(f(x))
 
 
 def _poisson_rate_bound(f: TargetFunction, step: float) -> tuple:
@@ -376,9 +386,8 @@ def _poisson_rate_bound(f: TargetFunction, step: float) -> tuple:
     if f.lip is not None:
         m, _ = f.lip
         # t^a <= 1 + t <= e^t for a <= 1
-        return (abs(f(0.0)) + m, math.exp(step))
-    ts = np.linspace(0.0, 64.0 * step, 257)
-    m = max(abs(float(f.fn(t))) for t in ts)
+        return (abs(float(f(0.0))) + m, math.exp(step))
+    m = float(np.max(np.abs(f(np.linspace(0.0, 64.0 * step, 257)))))
     return (2.0 * m + 1e-6, math.exp(step))  # heuristic growth guess
 
 
@@ -409,7 +418,7 @@ def classical_evaluate(
     lam2 = lam * factor  # e^{-lam} lam2^k / k! dominates the weight times |f| / amp
     total = 0.0
     for k in range(trunc.k_max + 1):
-        fv = float(f.fn(k * step))
+        fv = float(f(k * step))
         if not math.isfinite(fv):
             raise EvaluationError(f"{f.name} returned {fv} at node {k * step}")
         total += _poisson(k, lam, lam) * fv

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import GridSpec
 from .appell import AppellFamily
 from .errors import DomainError
-from .operators import make_operator, moment_closed
+from .operators import as_target, make_operator, moment_closed
 from .qcore import q_integer
 
 __all__ = [
@@ -118,8 +118,7 @@ class WeightedNorm:
         return float(np.max(np.abs(values) / self.weights()))
 
     def of_function(self, f) -> float:
-        xs = self.grid.xs()
-        return self.of_values([float(f(x)) for x in xs])
+        return self.of_values(as_target(f)(self.grid.xs()))
 
 
 def natural_density(predicate, N: int) -> float:
@@ -162,11 +161,11 @@ def korovkin_table(
     """Rows (n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) for CSV emission.
 
     err_v is the weighted error of the v-th monomial moment on the grid,
-    clipped once so that every operator along ns can evaluate on it.
+    which must lie inside every operator's domain along ns (clip_grid_for
+    makes one that does); moment_closed raises DomainError otherwise.
     """
-    eff = clip_grid_for(schedule, ns, grid)
-    norm = WeightedNorm(eff)
-    xs = [float(x) for x in eff.xs()]
+    norm = WeightedNorm(grid)
+    xs = [float(x) for x in grid.xs()]
     rows = []
     for n in ns:
         q = schedule.q_at(n)

@@ -100,14 +100,42 @@ def test_second_modulus_uniform_bound():
     assert second_modulus(fsin, 10.0, GridSpec(0.0, 2.0, 81)) <= 4.0
 
 
+def test_grid_measures_match_scalar_loops():
+    # the old per-point loops as references; numpy's array pow and sin may
+    # round differently from the scalar ones, and k2_estimate's quadrature
+    # sums in another order, hence the few-ulp tolerance
+    grid = GridSpec(0.0, 2.0, 41)
+    xs = [float(x) for x in grid.xs()]
+    for f in (preset_function("sin"), preset_function("abspow:0.7:1")):
+        fs = lambda t: float(f(t))
+        hs = [0.3 * j / 64 for j in range(1, 65)]
+        w2 = max(abs(fs(x + 2 * h) - 2 * fs(x + h) + fs(x)) for h in hs for x in xs)
+        assert second_modulus(f, 0.3, grid) == pytest.approx(w2, rel=1e-14)
+        lm = [max(abs(fs(t) - fs(x)) / abs(t - x) ** 0.7 for t in xs if t != x) for x in xs]
+        assert lipschitz_maximal(f, 0.7, grid) == pytest.approx(lm, rel=1e-14)
+
+        def ext(s):
+            return fs(s) if s >= 0.0 else 2.0 * fs(0.0) - fs(-s)
+
+        best = math.inf
+        gh = list(zip(*np.polynomial.hermite.hermgauss(32)))
+        for h in np.geomspace(0.01 / 32.0, 0.04, 16):
+            g = [sum(w * ext(x + math.sqrt(2.0) * h * u) for u, w in gh) / math.sqrt(math.pi) for x in xs]
+            err = max(abs(fs(x) - gx) for x, gx in zip(xs, g))
+            bend = max(abs(g[i + 1] - 2 * g[i] + g[i - 1]) for i in range(1, len(g) - 1)) / grid.step**2
+            best = min(best, err + 0.01 * bend)
+        assert k2_estimate(f, 0.01, grid) == pytest.approx(best, rel=1e-14)
+
+
 def test_lipschitz_maximal_linear():
     e1 = preset_function("e1")
-    assert lipschitz_maximal(e1, 1.0, 1.0, GridSpec(0.0, 2.0, 81)) == 1.0
+    # x = 1.0 is grid index 40
+    assert lipschitz_maximal(e1, 1.0, GridSpec(0.0, 2.0, 81))[40] == 1.0
 
 
 def test_lipschitz_maximal_root():
     f = preset_function("abspow:0.5:1")
-    got = lipschitz_maximal(f, 1.0, 0.5, GridSpec(0.0, 2.0, 81))
+    got = lipschitz_maximal(f, 0.5, GridSpec(0.0, 2.0, 81))[40]
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
@@ -239,11 +267,11 @@ def test_local_checker_calls_f_once_per_node(monkeypatch):
     # the node set does not depend on x, so one grid needs f at each node once
     op = make_operator(1000, 0.99, math.sqrt(1000), "affine")
     grid = GridSpec(0.0, op.x_max, 101)
-    inside, calls = [False], [0]
+    inside, points = [False], [0]
 
     def counted_sin(t):
-        calls[0] += inside[0]
-        return math.sin(t)
+        points[0] += inside[0] * np.size(t)
+        return np.sin(t)
 
     def counting_evaluate(*args, **kwargs):
         inside[0] = True
@@ -256,8 +284,44 @@ def test_local_checker_calls_f_once_per_node(monkeypatch):
     f = TargetFunction(counted_sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0)
     assert check_local_theorem(op, f, grid).passed
     cuts = [len(weights(op.family, op.y(x), op.q, bound=1.0)[0]) for x in grid.xs()]
-    # one more call: f(0) in the sup bound, made once per target
-    assert calls[0] <= max(cuts) + 1 < sum(cuts)
+    # one more point: f(0) in the sup bound, taken once per target
+    assert points[0] <= max(cuts) + 1 < sum(cuts)
+
+
+@pytest.mark.parametrize(
+    "check, args, most",
+    [
+        (check_rate_theorem, (), 2),
+        (check_lipschitz_theorem, (0.0, 1.0), 1),
+        (check_maximal_theorem, (0.5,), 2),
+        (check_local_theorem, (), 5),
+    ],
+)
+def test_checkers_sample_f_a_fixed_number_of_times(check, args, most, monkeypatch):
+    # outside evaluate each checker samples f in whole grids, so the number
+    # of fn calls does not grow with the grid
+    op = make_operator(100, 0.95, 10.0, "affine")
+    inside, calls = [False], []
+
+    def counted_sin(t):
+        calls.append(not inside[0])
+        return np.sin(t)
+
+    def counting_evaluate(*args, **kwargs):
+        inside[0] = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(qapprox.analysis, "evaluate", counting_evaluate)
+    counts = []
+    for points in (21, 201):
+        f = TargetFunction(counted_sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0)
+        calls.clear()
+        assert check(op, f, *args, GridSpec(0.0, 1.0, points)).passed
+        counts.append(sum(calls))
+    assert counts[0] == counts[1] <= most
 
 
 def test_local_checker_shift_free_reduction():

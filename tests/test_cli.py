@@ -9,6 +9,7 @@ import pytest
 import qapprox.appell
 import qapprox.cli
 import qapprox.qcore
+import qapprox.statconv
 from qapprox.analysis import BoundReport
 from qapprox.cli import main
 from qapprox.statconv import ScheduleSpec
@@ -333,6 +334,32 @@ def test_stdout_when_no_out_flag(capsys):
     assert run(["moments"]) == 0
     text = capsys.readouterr().out
     assert text.splitlines()[0].startswith("# command=moments ")
+
+
+def test_out_dash_writes_stdout(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["statdemo", "--Ns", "100", "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# command=statdemo Ns=100 eps=0.10000000000000001 out=- schedule=spiky"
+    assert lines[1] == LAYOUTS["statdemo"][0]
+    assert not (tmp_path / "-").exists()
+
+
+def test_converge_builds_each_operator_once(monkeypatch, tmp_path):
+    # clip_grid_for builds one "one" operator per n to find the common
+    # domain, and korovkin_table one operator of the family per n
+    calls = []
+    make = qapprox.statconv.make_operator
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    for module in (qapprox.cli, qapprox.statconv):
+        monkeypatch.setattr(module, "make_operator", counted)
+    argv = ["converge", "--ns", "16,64,256,1024", "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 0
+    assert len(calls) == 8
 
 
 def test_local_reports_k_hat(tmp_path, capsys):

@@ -17,6 +17,7 @@ Nothing here reuses the library's series code.
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from qapprox.operators import evaluate, make_operator, moment_closed, preset_function
@@ -127,6 +128,30 @@ def test_evaluate_against_50_digit_sums():
                         err = float(abs(mpmath.mpf(got) - ref[name]) / max(abs(ref[name]), 1))
                         assert err <= 1e-11, (q, n, fam, frac, name, err)
                         worst = max(worst, err)
+    assert worst > 0.0
+
+
+def test_presets_within_2_ulp_of_40_digits():
+    # the numpy forms against the exact values at the exact binary points,
+    # on [0, 40] and at the abspow centre, where |t - c|^a must be 0
+    refs = {
+        "e0": lambda t: mpmath.mpf(1),
+        "e1": lambda t: t,
+        "e2": lambda t: t * t,
+        "sin": mpmath.sin,
+        "expneg": lambda t: mpmath.exp(-t),
+    }
+    for a in (0.394, 0.5, 0.969, 1.0):
+        refs[f"abspow:{a}:1"] = lambda t, a=mpmath.mpf(a): abs(t - 1) ** a
+    ts = np.append(np.linspace(0.0, 40.0, 4001), 1.0)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for name, ref_fn in refs.items():
+            for t, got in zip(ts, preset_function(name)(ts)):
+                ref = ref_fn(mpmath.mpf(t))
+                ulps = float(abs(mpmath.mpf(got) - ref)) / np.spacing(abs(float(ref)))
+                assert ulps <= 2.0, (name, t, got, ulps)
+                worst = max(worst, ulps)
     assert worst > 0.0
 
 
