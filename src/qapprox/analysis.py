@@ -49,6 +49,9 @@ __all__ = [
 
 _PASS_SLACK = 1e-9
 _H_SUBDIVISIONS = 64
+# second_modulus samples f on at most this many points at once (2 MB a
+# sample), so its memory stays bounded however fine the grid
+_SAMPLE_CAP = 2**18
 _EXT_POINT_CAP = 100_001
 
 
@@ -150,8 +153,9 @@ def weighted_modulus(f, delta: float, lam: float, grid: GridSpec) -> float:
 def second_modulus(f, delta: float, grid: GridSpec) -> float:
     """sup over x in grid, h in (0, delta] of |f(x+2h) - 2f(x+h) + f(x)|.
 
-    h runs over a fixed 64-point subdivision of (0, delta], one row per h;
-    f must be evaluable up to x_hi + 2*delta.
+    h runs over a fixed 64-point subdivision of (0, delta], one row per h,
+    and the rows are sampled in chunks of at most _SAMPLE_CAP values (one
+    chunk up to 4096 grid points); f must be evaluable up to x_hi + 2*delta.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -159,9 +163,14 @@ def second_modulus(f, delta: float, grid: GridSpec) -> float:
     xs = grid.xs()
     hs = delta * np.arange(1, _H_SUBDIVISIONS + 1)[:, None] / _H_SUBDIVISIONS
     v0 = _sample(f, xs)
-    v1 = _sample(f, xs + hs)
-    v2 = _sample(f, xs + 2.0 * hs)
-    return float(np.max(np.abs(v2 - 2.0 * v1 + v0)))
+    rows = max(1, _SAMPLE_CAP // len(xs))
+    best = 0.0
+    for j in range(0, _H_SUBDIVISIONS, rows):
+        h = hs[j : j + rows]
+        d2 = _sample(f, xs + 2.0 * h) - 2.0 * _sample(f, xs + h)
+        d2 += v0
+        best = max(best, float(np.max(np.abs(d2, out=d2))))
+    return best
 
 
 def lipschitz_maximal(f, alpha: float, grid: GridSpec) -> np.ndarray:

@@ -243,13 +243,17 @@ def moment_sum(
     tol: float = DEFAULT_TOL,
     k_min: int = 16,
     k_max: int = SERIES_CAP,
-) -> float:
-    """sum_k c_k(y) * [k]_q^power, truncated by the geometric tail bound."""
+) -> np.ndarray:
+    """The sums sum_k c_k(y) * [k]_q^p for p = 0..power, from one weights call.
+
+    The series is cut by the geometric tail bound for the largest power;
+    since [k]_q never exceeds the radius 1/(1-q), a cut that holds for
+    radius**power holds, and only tighter, for every lower power.
+    """
     if power < 0:
         raise ValueError("power must be nonnegative")
-    # [k]_q never exceeds the radius 1/(1-q)
     c, kq = weights(family, y, q, as_qvalue(q).radius**power, tol, k_min, k_max)
-    return float(c @ kq**power)
+    return np.array([c @ kq**p for p in range(power + 1)])
 
 
 Identity = namedtuple("Identity", "name family points residual bound")

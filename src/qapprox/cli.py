@@ -224,11 +224,12 @@ def _run_moments(res: dict) -> tuple:
     op, grid, cfg = _operator_and_grid(res)
     rows = []
     worst = (0.0, None)
+    xs = [float(x) for x in grid.xs()]
+    moments = [moment_series(op, x, cfg["tol"]) for x in xs]
     for i in (0, 1, 2):
-        for x in grid.xs():
-            x = float(x)
+        for x, m in zip(xs, moments):
             closed = moment_closed(op, i, x)
-            series = moment_series(op, i, x, cfg["tol"])
+            series = m[i]
             printed = moment_closed_uncorrected(op, i, x)
             rows.append(
                 "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"

@@ -197,11 +197,12 @@ class OperatorInstance:
     x_max: float = field(init=False)
     node_sup: float = field(init=False)
     functionals: Functionals = field(init=False)
-    # [f, its sup bound on the nodes, f at the first nodes] for the last
-    # target evaluated: the node set does not depend on x, so evaluating a
-    # grid calls f once per node
+    # [f as passed, f as a TargetFunction, its sup bound on the nodes, f at
+    # the first nodes] for the last target evaluated: the node set does not
+    # depend on x, so evaluating a grid converts f once and calls it once
+    # per node, whether f is a TargetFunction or a raw callable
     _target: list = field(
-        init=False, repr=False, compare=False, default_factory=lambda: [None, 0.0, np.zeros(0)]
+        init=False, repr=False, compare=False, default_factory=lambda: [None, None, 0.0, np.zeros(0)]
     )
 
     def __post_init__(self) -> None:
@@ -267,22 +268,23 @@ def evaluate(
     ratio, so the value stays finite on the whole guarded domain.
     """
     _check_x(op, x)
-    f = as_target(f)
     slot = op._target
     if slot[0] is not f:
-        slot[:] = f, _node_sup_bound(f, op.node_sup), np.zeros(0)
+        target = as_target(f)
+        slot[:] = f, target, _node_sup_bound(target, op.node_sup), np.zeros(0)
+    _, f, bound, known = slot
     c, kq, _ = scaled_weights(
-        op.family, op.y(x), op.q, slot[1], trunc.tol, trunc.k_min, trunc.k_max
+        op.family, op.y(x), op.q, bound, trunc.tol, trunc.k_min, trunc.k_max
     )
-    if len(slot[2]) < len(kq):
-        nodes = kq[len(slot[2]) :] * op.scale
+    if len(known) < len(kq):
+        nodes = kq[len(known) :] * op.scale
         fv = f(nodes)
         bad = ~np.isfinite(fv)
         if bad.any():
             k = int(np.argmax(bad))
             raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
-        slot[2] = np.concatenate([slot[2], fv])
-    return float(c @ slot[2][: len(kq)] / c.sum())
+        known = slot[3] = np.concatenate([known, fv])
+    return float(c @ known[: len(kq)] / c.sum())
 
 
 def _damping(op: OperatorInstance, y: float) -> float:
@@ -337,15 +339,14 @@ def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
     raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
 
 
-def moment_series(op: OperatorInstance, i: int, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Brute-force series moment; the ground truth the closed forms answer to."""
+def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> list:
+    """Brute-force series moments [m0, m1, m2] at x; the ground truth the
+    closed forms answer to.  One weight-kernel call and one e_q give all three."""
     _check_x(op, x)
-    if i not in (0, 1, 2):
-        raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
     y = op.y(x)
-    raw = _appell.moment_sum(op.family, y, op.q, i, tol)
+    raw = _appell.moment_sum(op.family, y, op.q, 2, tol)
     norm = sum(op.family.coeffs) * eq_exp(y, op.q, tol)
-    return op.scale**i * raw / norm
+    return [op.scale**i * float(s) / norm for i, s in enumerate(raw)]
 
 
 def central_moment2(op: OperatorInstance, x: float) -> float:

@@ -102,13 +102,13 @@ def test_criterion_03_moment_oracle_and_fidelity():
                 s = op.scale
                 for x in np.linspace(0.0, op.x_max * 0.999, 20):
                     x = float(x)
+                    ser = moment_series(op, x)
                     for i in (0, 1, 2):
-                        ser = moment_series(op, i, x)
                         worst_closed = max(
-                            worst_closed, _rel(moment_closed(op, i, x), ser)
+                            worst_closed, _rel(moment_closed(op, i, x), ser[i])
                         )
                     if fam_name == "one":
-                        ser2 = moment_series(op, 2, x)
+                        ser2 = ser[2]
                         printed = moment_closed_uncorrected(op, 2, x)
                         if _rel(printed, ser2) > 1e-9:
                             printed_breaks_oracle = True

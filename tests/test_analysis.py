@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ def test_second_modulus_quadratic():
 def test_second_modulus_uniform_bound():
     fsin = preset_function("sin")
     assert second_modulus(fsin, 10.0, GridSpec(0.0, 2.0, 81)) <= 4.0
+
+
+def test_second_modulus_memory_bounded():
+    # 20001 points: one whole (64, P) sample would be 10 MB and the three of
+    # them about 39 MB; the rows are sampled in chunks, with the same value
+    fsin = preset_function("sin")
+    grid = GridSpec(0.0, 2.0, 20001)
+    xs = grid.xs()
+    hs = 0.3 * np.arange(1, 65)[:, None] / 64
+    whole = float(np.max(np.abs(fsin(xs + 2.0 * hs) - 2.0 * fsin(xs + hs) + fsin(xs))))
+    tracemalloc.start()
+    try:
+        got = second_modulus(fsin, 0.3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == whole
+    assert peak < 16 * 2**20
 
 
 def test_grid_measures_match_scalar_loops():

@@ -262,16 +262,10 @@ def test_identities_non_finite_residual_fails(side, rows, monkeypatch, tmp_path,
     assert len(fail_lines) == 1 and "residual=inf" in fail_lines[0]
 
 
-def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
-    # every row in log or ratio form: finite, passing, no overflow warning, and
-    # one kernel call per x (50) and per y and family (20 x 3), no moment_sum
-    # and no scalar product
+def _count_calls(monkeypatch, *targets) -> dict:
+    """Wrap each (module, name) to count its calls; returns {name: count}."""
     calls = {}
-    for owner, name in (
-        (qapprox.appell, "scaled_weights"),
-        (qapprox.appell, "moment_sum"),
-        (qapprox.qcore, "Eq_exp_product"),
-    ):
+    for owner, name in targets:
         calls[name] = 0
 
         def counted(*a, _real=getattr(owner, name), _name=name, **kw):
@@ -279,6 +273,19 @@ def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
             return _real(*a, **kw)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
+    # every row in log or ratio form: finite, passing, no overflow warning, and
+    # one kernel call per x (50) and per y and family (20 x 3), no moment_sum
+    # and no scalar product
+    calls = _count_calls(
+        monkeypatch,
+        (qapprox.appell, "scaled_weights"),
+        (qapprox.appell, "moment_sum"),
+        (qapprox.qcore, "Eq_exp_product"),
+    )
     out = tmp_path / "i.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -291,8 +298,24 @@ def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
     assert calls == {"scaled_weights": 50 + 3 * 20, "moment_sum": 0, "Eq_exp_product": 0}
 
 
+def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
+    # all three series moments at a point come from one moment_sum, so one
+    # kernel call and one log e_q per x, not one per order and x
+    calls = _count_calls(
+        monkeypatch,
+        (qapprox.appell, "scaled_weights"),
+        (qapprox.appell, "moment_sum"),
+        (qapprox.qcore, "log_eq_exp"),
+    )
+    out = tmp_path / "m.csv"
+    assert run(["moments", "--grid", "0:auto:21", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 3 * 21
+    assert calls == {"scaled_weights": 21, "moment_sum": 21, "log_eq_exp": 21}
+
+
 def test_moments_non_finite_row_fails(tmp_path, capsys):
-    # at q=0.999 the closed and series moments overflow to NaN near x_max
+    # at q=0.999 the series moments overflow to NaN near x_max (the raw sum
+    # and e_q(y) both pass the float range); the closed forms stay finite
     out = tmp_path / "m.csv"
     rc = run(["moments", "--q", "0.999", "--n", "1000", "--grid", "0:auto:3", "--out", str(out)])
     assert rc == 1

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import qapprox.operators
 from qapprox.analysis import GridSpec, delta_n, phi_n
-from qapprox.appell import weights
+from qapprox.appell import FAMILIES, weights
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
+from qapprox.qcore import eq_exp
 from qapprox.operators import (
     DEFAULT_TRUNCATION,
     SAFETY,
@@ -99,8 +100,8 @@ def test_evaluate_matches_moment_series():
     e1 = preset_function("e1")
     e2 = preset_function("e2")
     for x in (0.1, 0.5, 1.5):
-        assert evaluate(op, e1, x) == pytest.approx(moment_series(op, 1, x), rel=1e-9)
-        assert evaluate(op, e2, x) == pytest.approx(moment_series(op, 2, x), rel=1e-9)
+        assert evaluate(op, e1, x) == pytest.approx(moment_series(op, x)[1], rel=1e-9)
+        assert evaluate(op, e2, x) == pytest.approx(moment_series(op, x)[2], rel=1e-9)
 
 
 def test_evaluate_sweep_e0_e1():
@@ -113,7 +114,7 @@ def test_evaluate_sweep_e0_e1():
                 for frac in (0.0, 0.1, 0.5, 0.9, 1.0):
                     x = frac * op.x_max
                     assert abs(evaluate(op, e0, x) - 1.0) <= 1e-12
-                    want = moment_series(op, 1, x)
+                    want = moment_series(op, x)[1]
                     assert evaluate(op, e1, x) == pytest.approx(want, rel=1e-11)
 
 
@@ -129,13 +130,47 @@ def test_moment_closed_vs_series_smoke():
     op = make_operator(10, 0.8, 2.0, "affine")
     assert moment_closed(op, 0, 0.5) == 1.0
     assert moment_closed(op, 1, 0.5) == pytest.approx(0.6740580499202851, rel=1e-12)
-    assert moment_series(op, 1, 0.5) == pytest.approx(0.6740580499206811, rel=1e-12)
+    assert moment_series(op, 0.5)[1] == pytest.approx(0.6740580499206811, rel=1e-12)
     assert moment_closed(op, 2, 0.5) == pytest.approx(0.62737806033909, rel=1e-12)
-    assert moment_series(op, 2, 0.5) == pytest.approx(0.6273780603394733, rel=1e-12)
+    assert moment_series(op, 0.5)[2] == pytest.approx(0.6273780603394733, rel=1e-12)
     for i in (0, 1, 2):
         assert moment_closed(op, i, 0.5) == pytest.approx(
-            moment_series(op, i, 0.5), rel=1e-9
+            moment_series(op, 0.5)[i], rel=1e-9
         )
+
+
+def test_moment_series_matches_per_order_cut():
+    # one kernel call cut for [k]_q^2 against the old per-order sums, each cut
+    # for its own bound radius**i, over the default `moments` grid (q=0.8,
+    # n=10, b_n=sqrt(n), 0:auto:41); the longer cut only adds terms below tol
+    for name in FAMILIES:
+        op = make_operator(10, 0.8, math.sqrt(10), name)
+        for x in np.linspace(0.0, 0.95 * op.x_max, 41):
+            x = float(x)
+            y = op.y(x)
+            norm = sum(op.family.coeffs) * eq_exp(y, op.q)
+            got = moment_series(op, x)
+            assert len(got) == 3
+            for i in (0, 1, 2):
+                c, kq = weights(op.family, y, op.q, op.q.radius**i)
+                want = op.scale**i * float(c @ kq**i) / norm
+                assert got[i] == pytest.approx(want, rel=1e-11), (name, x, i)
+
+
+def test_evaluate_converts_a_raw_callable_once(monkeypatch):
+    # the node cache is keyed on the object passed, so a raw scalar callable
+    # is wrapped and audited once per operator, not once per point
+    f = lambda t: math.sin(t) + 0.5 * t
+    op = make_operator(100, 0.95, 10.0, "affine")
+    xs = [float(x) for x in np.linspace(0.0, op.x_max, 100)]
+    target = as_target(f)
+    want = [evaluate(op, target, x) for x in xs]
+    audits = []
+    real = TargetFunction._audit
+    monkeypatch.setattr(TargetFunction, "_audit", lambda self: audits.append(1) or real(self))
+    raw_op = make_operator(100, 0.95, 10.0, "affine")
+    assert [evaluate(raw_op, f, x) for x in xs] == want
+    assert len(audits) == 1
 
 
 def test_uncorrected_second_moment_discrepancy_single_coefficient():
@@ -145,7 +180,7 @@ def test_uncorrected_second_moment_discrepancy_single_coefficient():
     s = op.scale
     for x in (0.2, 0.7, 1.4):
         printed = moment_closed_uncorrected(op, 2, x)
-        series = moment_series(op, 2, x)
+        series = moment_series(op, x)[2]
         want_gap = x * s - (1.0 - 0.8) * x * x
         assert series - printed == pytest.approx(want_gap, abs=1e-9)
 
