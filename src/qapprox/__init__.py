@@ -11,7 +11,6 @@ from .qcore import (
     as_qvalue,
     q_integer,
     q_factorial,
-    q_binomial,
     q_derivative,
     eq_exp,
     log_eq_exp,
@@ -19,7 +18,6 @@ from .qcore import (
     Eq_exp_product,
     log_Eq_exp_product,
     Eq_exp_series,
-    Eq_exp_with_info,
 )
 from .appell import (
     FAMILIES,
@@ -29,14 +27,11 @@ from .appell import (
     family_functionals,
     identity_residuals,
     moment_sum,
-    weights,
 )
 from .operators import (
     SAFETY,
-    DEFAULT_TRUNCATION,
     OperatorInstance,
     TargetFunction,
-    TruncationPolicy,
     as_target,
     auxiliary_evaluate,
     central_moment2,

@@ -22,13 +22,12 @@ from .errors import DomainError
 from .operators import (
     OperatorInstance,
     TargetFunction,
-    TruncationPolicy,
-    DEFAULT_TRUNCATION,
     as_target,
     central_moment2,
     evaluate,
     shift_term,
 )
+from .qcore import DEFAULT_TOL
 
 __all__ = [
     "GridSpec",
@@ -273,8 +272,8 @@ def _class_membership(f: TargetFunction) -> None:
         )
 
 
-def _lhs_curve(op, f, xs, trunc) -> np.ndarray:
-    lv = np.array([evaluate(op, f, float(x), trunc) for x in xs])
+def _lhs_curve(op, f, xs, tol) -> np.ndarray:
+    lv = np.array([evaluate(op, f, float(x), tol) for x in xs])
     return np.abs(lv - f(xs))
 
 
@@ -291,14 +290,14 @@ def check_rate_theorem(
     op: OperatorInstance,
     f,
     grid: GridSpec,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """|operator(f) - f| against twice the modulus at sqrt(delta_n)."""
     f = as_target(f)
     _class_membership(f)
     _check_grid(op, grid)
     xs = grid.xs()
-    lhs = _lhs_curve(op, f, xs, trunc)
+    lhs = _lhs_curve(op, f, xs, tol)
     dn = delta_n(op, grid)
     ext = _extended_grid(op, grid)
     root = math.sqrt(dn.value) if dn.value > 0.0 else 0.0
@@ -318,7 +317,7 @@ def check_lipschitz_theorem(
     F_lo: float,
     F_hi: float,
     grid: GridSpec,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """Bound via the Hölder constant and the distance to the set [F_lo, F_hi]."""
     f = as_target(f)
@@ -331,7 +330,7 @@ def check_lipschitz_theorem(
     _check_grid(op, grid)
     m, alpha = f.lip
     xs = grid.xs()
-    lhs = _lhs_curve(op, f, xs, trunc)
+    lhs = _lhs_curve(op, f, xs, tol)
     dn = delta_n(op, grid)
     dist = np.maximum.reduce([F_lo - xs, xs - F_hi, np.zeros_like(xs)])
     rhs = m * (dn.value ** (alpha / 2.0) + dist**alpha)
@@ -344,14 +343,14 @@ def check_maximal_theorem(
     f,
     alpha: float,
     grid: GridSpec,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """Pointwise bound by the Hölder maximal quotient times delta_n^(alpha/2)."""
     f = as_target(f)
     _class_membership(f)
     _check_grid(op, grid)
     xs = grid.xs()
-    lhs = _lhs_curve(op, f, xs, trunc)
+    lhs = _lhs_curve(op, f, xs, tol)
     dn = delta_n(op, grid)
     fac = dn.value ** (alpha / 2.0)
     rhs = lipschitz_maximal(f, alpha, grid) * fac
@@ -363,7 +362,7 @@ def check_local_theorem(
     op: OperatorInstance,
     f,
     grid: GridSpec,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """Second-modulus bound with the bias-shift modulus added.
 
@@ -376,7 +375,7 @@ def check_local_theorem(
     f = as_target(f)
     _check_grid(op, grid)
     xs = grid.xs()
-    lhs = _lhs_curve(op, f, xs, trunc)
+    lhs = _lhs_curve(op, f, xs, tol)
     pn = phi_n(op, grid)
     shift_sup = max(shift_term(op, float(x)) for x in xs)
     root = math.sqrt(pn.value) if pn.value > 0.0 else 0.0

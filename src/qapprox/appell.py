@@ -42,7 +42,6 @@ __all__ = [
     "family_functionals",
     "SAFETY",
     "scaled_weights",
-    "weights",
     "moment_sum",
     "identity_residuals",
 ]
@@ -180,6 +179,8 @@ def scaled_weights(
     """
     if y < 0.0:
         raise ValueError("y must be nonnegative")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     qv = as_qvalue(q)
     table = _q_table(qv.q)
     coeffs = np.array(family.coeffs)
@@ -210,50 +211,24 @@ def scaled_weights(
             return c[: K + 1], kq[: K + 1], float(np.sum(log_ratio[:m]))
         if width > k_max:
             raise TruncationCapError(
-                f"weights(y={y}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
+                f"scaled_weights(y={y}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
             )
         width *= 2
 
 
-def weights(
-    family: AppellFamily,
-    y: float,
-    q,
-    bound: float = 1.0,
-    tol: float = DEFAULT_TOL,
-    k_min: int = 16,
-    k_max: int = SERIES_CAP,
-) -> tuple:
-    """Weights c_0(y)..c_K(y) and q-integers [0]_q..[K]_q as two arrays.
+def moment_sum(family: AppellFamily, y: float, q, power: int, tol: float = DEFAULT_TOL) -> tuple:
+    """The scaled sums S_p = sum_k c_k [k]_q^p for p = 0..power, and the shift.
 
-    The cut is the one `scaled_weights` makes.  Past the float range (q near
-    1 and y near the radius) the weights overflow to inf; ratios of weighted
-    sums stay finite through `scaled_weights`.
-    """
-    c, kq, shift = scaled_weights(family, y, q, bound, tol, k_min, k_max)
-    # where e^shift overflows, weights that underflowed in c stay 0, not NaN
-    return np.multiply(c, np.exp(shift), out=np.zeros_like(c), where=c > 0.0), kq
-
-
-def moment_sum(
-    family: AppellFamily,
-    y: float,
-    q,
-    power: int,
-    tol: float = DEFAULT_TOL,
-    k_min: int = 16,
-    k_max: int = SERIES_CAP,
-) -> np.ndarray:
-    """The sums sum_k c_k(y) * [k]_q^p for p = 0..power, from one weights call.
-
-    The series is cut by the geometric tail bound for the largest power;
-    since [k]_q never exceeds the radius 1/(1-q), a cut that holds for
+    c is `scaled_weights`'s, so the true sums are S_p * e^shift; ratios such
+    as S_1/S_0 never leave the float range.  One kernel call gives every
+    power: the series is cut by the geometric tail bound for the largest,
+    and since [k]_q never exceeds the radius 1/(1-q), a cut that holds for
     radius**power holds, and only tighter, for every lower power.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
-    c, kq = weights(family, y, q, as_qvalue(q).radius**power, tol, k_min, k_max)
-    return np.array([c @ kq**p for p in range(power + 1)])
+    c, kq, shift = scaled_weights(family, y, q, as_qvalue(q).radius**power, tol)
+    return np.array([c.sum()] + [c @ kq**p for p in range(1, power + 1)]), shift
 
 
 Identity = namedtuple("Identity", "name family points residual bound")
@@ -292,7 +267,7 @@ def identity_residuals(q, points: int = 100, tol: float = DEFAULT_TOL) -> list:
       against the log-series `log_eq_exp`), and the ratios
       sum_k c_k [k]_q^i / sum_k c_k, i = 1, 2, against the generating
       function's right-hand sides over A(1) e_q(y), whose e_q ratios are
-      differences of `log_eq_exp`.  One kernel call per y gives all three.
+      differences of `log_eq_exp`.  One `moment_sum` call per y gives all three.
     """
     qv = as_qvalue(q)
     rows = []
@@ -336,14 +311,13 @@ def identity_residuals(q, points: int = 100, tol: float = DEFAULT_TOL) -> list:
         d1, d2 = fns.DqA1 / fns.A1, fns.Dq2A1 / fns.A1
         r0, r1, r2 = [], [], []
         for y, (l0, l1, l2) in zip(ys, logs):
-            c, kq, shift = scaled_weights(fam, y, qv, qv.radius**2, tol)
-            s0 = float(c.sum())
+            (s0, s1, s2), shift = moment_sum(fam, y, qv, 2, tol)
             e1, e2 = math.exp(l1 - l0), math.exp(l2 - l0)  # e_q(qy)/e_q(y), e_q(q^2 y)/e_q(y)
             r0.append(abs(math.log(s0) + shift - math.log(fns.A1) - l0))
-            r1.append(_rel(float(c @ kq) / s0, y + d1 * e1))
+            r1.append(_rel(float(s1 / s0), y + d1 * e1))
             r2.append(
                 _rel(
-                    float(c @ kq**2) / s0,
+                    float(s2 / s0),
                     qv.q * d2 * e2 + (qv.q * (qv.q + 1.0) * y + 1.0) * d1 * e1 + qv.q * y * y + y,
                 )
             )

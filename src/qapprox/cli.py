@@ -29,7 +29,6 @@ from .analysis import (
 from .appell import family_from_spec, identity_residuals
 from .errors import ConfigError, DomainError, EvaluationError, TruncationCapError
 from .operators import (
-    TruncationPolicy,
     make_operator,
     moment_closed,
     moment_closed_uncorrected,
@@ -45,6 +44,8 @@ from .statconv import (
 )
 
 _ORACLE_RTOL = 1e-9
+# |log sum_k c_k(y) - log(A(1) e_q(y))|, the `weight_sum` identity's bound
+_NORM_TOL = 1e-9
 # an `auto` grid top stops this fraction of the way to the guarded x_max
 _AUTO_MARGIN = 0.95
 
@@ -240,13 +241,25 @@ def _run_moments(res: dict) -> tuple:
             r = abs(closed - series) / max(1.0, abs(series)) if finite else math.inf
             if r > worst[0]:
                 worst = (r, (i, x))
+    # the ratios divide sum_k c_k out, so its identity is checked on its own
+    norm = [m.norm_residual if math.isfinite(m.norm_residual) else math.inf for m in moments]
+    norm_worst = max(norm, default=0.0)
 
     csv = (cfg, "i,x,closed,series,printed,closed_minus_series,printed_minus_series", rows)
     if worst[0] > _ORACLE_RTOL:
         i, x = worst[1]
         fail = f"closed-vs-series i={i} x={_fmt(x)} rel={_fmt(worst[0])} tol={_fmt(_ORACLE_RTOL)}"
         return (*csv, fail, None)
-    return (*csv, None, "moments: closed vs series max rel %.3g over %d rows" % (worst[0], len(rows)))
+    if norm_worst > _NORM_TOL:
+        x = xs[norm.index(norm_worst)]
+        fail = f"normalisation x={_fmt(x)} residual={_fmt(norm_worst)} tol={_fmt(_NORM_TOL)}"
+        return (*csv, fail, None)
+    return (
+        *csv,
+        None,
+        "moments: closed vs series max rel %.3g over %d rows; normalisation residual %.3g"
+        % (worst[0], len(rows), norm_worst),
+    )
 
 
 def _run_converge(res: dict) -> tuple:
@@ -295,11 +308,11 @@ def _run_rates(res: dict) -> tuple:
     else:
         alpha = 0.5
 
-    trunc = TruncationPolicy(tol=cfg["tol"])
-    reports = [check_rate_theorem(op, f, grid, trunc)]
+    tol = cfg["tol"]
+    reports = [check_rate_theorem(op, f, grid, tol)]
     if f.lip is not None:
-        reports.append(check_lipschitz_theorem(op, f, f_lo, f_hi, grid, trunc))
-    reports.append(check_maximal_theorem(op, f, alpha, grid, trunc))
+        reports.append(check_lipschitz_theorem(op, f, f_lo, f_hi, grid, tol))
+    reports.append(check_maximal_theorem(op, f, alpha, grid, tol))
 
     cfg.update(function=f.name, f_lo=f_lo, f_hi=f_hi, alpha=alpha)
     rows = [
@@ -323,7 +336,7 @@ def _run_rates(res: dict) -> tuple:
 def _run_local(res: dict) -> tuple:
     f = _spec(preset_function, "function", res["function"])
     op, grid, cfg = _operator_and_grid(res)
-    rep = check_local_theorem(op, f, grid, TruncationPolicy(tol=cfg["tol"]))
+    rep = check_local_theorem(op, f, grid, cfg["tol"])
 
     cfg["function"] = f.name
     rows = [

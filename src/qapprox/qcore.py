@@ -1,7 +1,7 @@
 """q-calculus primitives with explicit convergence domains.
 
-Everything here is elementary: q-integers, q-factorials, q-binomials, the
-q-difference quotient, and the two q-exponential series
+Everything here is elementary: q-integers, q-factorials, the q-difference
+quotient, and the two q-exponential series
 
     small:  e_q(x) = sum_k x^k / [k]_q!          (radius 1/(1-q))
     big:    E_q(x) = sum_k q^(k(k-1)/2) x^k / [k]_q!   (entire)
@@ -16,7 +16,6 @@ All functions are pure and accept either a QValue or a bare float for q.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "QValue",
     "q_integer",
     "q_factorial",
-    "q_binomial",
     "q_derivative",
     "eq_exp",
     "log_eq_exp",
@@ -35,7 +33,6 @@ __all__ = [
     "Eq_exp_series",
     "Eq_exp_product",
     "log_Eq_exp_product",
-    "Eq_exp_with_info",
     "DEFAULT_TOL",
     "SERIES_CAP",
 ]
@@ -97,14 +94,6 @@ def q_factorial(n: int, q) -> float:
     if math.isinf(out):
         raise OverflowError(f"q-factorial overflowed at n={n}, q={qv.q}")
     return out
-
-
-def q_binomial(n: int, k: int, q) -> float:
-    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!)."""
-    if not (0 <= k <= n):
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    qv = as_qvalue(q)
-    return q_factorial(n, qv) / (q_factorial(k, qv) * q_factorial(n - k, qv))
 
 
 def q_derivative(f, x: float, q) -> float:
@@ -173,9 +162,6 @@ def eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> fl
     e_q(x) passes the float range.
     """
     return _exp(log_eq_exp(x, q, tol, k_max))
-
-
-_EqExpInfo = namedtuple("_EqExpInfo", "value method cancellation")
 
 
 def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
@@ -271,30 +257,11 @@ def Eq_exp_product(x: float, q, tol: float = DEFAULT_TOL) -> float:
 _SERIES_NEG_LIMIT = 0.5
 
 
-def Eq_exp_with_info(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP):
-    """Like Eq_exp but also reports which route produced the value.
-
-    Returns (value, method, cancellation).  Cancellation is sum|t_k| over
-    |sum t_k| for the series the argument would generate; it is 1 for x >= 0.
-    Negative arguments beyond a small magnitude always take the product
-    route, where every factor is exact and nothing cancels.
-    """
-    qv = as_qvalue(q)
-    x = float(x)
-    if x >= 0.0:
-        return _EqExpInfo(Eq_exp_series(x, qv, tol, k_max), "series", 1.0)
-    if -x <= _SERIES_NEG_LIMIT:
-        value = Eq_exp_series(x, qv, tol, k_max)
-        total_abs = Eq_exp_series(-x, qv, tol, k_max)
-        cancel = total_abs / abs(value) if value != 0.0 else math.inf
-        return _EqExpInfo(value, "series", cancel)
-    value = Eq_exp_product(x, qv, tol)
-    # sum of |t_k| for argument x < 0 is exactly the series at |x|
-    total_abs = Eq_exp_product(-x, qv, tol)
-    cancel = total_abs / abs(value) if value != 0.0 else math.inf
-    return _EqExpInfo(value, "product", cancel)
-
-
 def Eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
-    """Big q-exponential E_q(x) = sum_k q^(k(k-1)/2) x^k/[k]_q! (entire)."""
-    return Eq_exp_with_info(x, q, tol, k_max).value
+    """Big q-exponential E_q(x) = sum_k q^(k(k-1)/2) x^k/[k]_q! (entire).
+
+    The series for x >= -1/2; below, the product, where nothing cancels.
+    """
+    if float(x) >= -_SERIES_NEG_LIMIT:
+        return Eq_exp_series(x, q, tol, k_max)
+    return Eq_exp_product(x, q, tol)

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import GridSpec
 from .appell import AppellFamily
 from .errors import DomainError
-from .operators import as_target, make_operator, moment_closed
+from .operators import make_operator, moment_closed
 from .qcore import q_integer
 
 __all__ = [
@@ -116,9 +116,6 @@ class WeightedNorm:
                 f"expected {self.grid.points} values, got shape {values.shape}"
             )
         return float(np.max(np.abs(values) / self.weights()))
-
-    def of_function(self, f) -> float:
-        return self.of_values(as_target(f)(self.grid.xs()))
 
 
 def natural_density(predicate, N: int) -> float:

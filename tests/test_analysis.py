@@ -22,7 +22,7 @@ from qapprox.analysis import (
     weighted_modulus,
 )
 from qapprox.errors import DomainError
-from qapprox.appell import weights
+from qapprox.appell import scaled_weights
 from qapprox.operators import TargetFunction, as_target, evaluate, make_operator, preset_function
 from qapprox.statconv import ScheduleSpec
 
@@ -302,7 +302,7 @@ def test_local_checker_calls_f_once_per_node(monkeypatch):
     monkeypatch.setattr(qapprox.analysis, "evaluate", counting_evaluate)
     f = TargetFunction(counted_sin, "sin", growth=(1.0, 0.0), lip=(1.0, 1.0), bounded=1.0)
     assert check_local_theorem(op, f, grid).passed
-    cuts = [len(weights(op.family, op.y(x), op.q, bound=1.0)[0]) for x in grid.xs()]
+    cuts = [len(scaled_weights(op.family, op.y(x), op.q, bound=1.0)[0]) for x in grid.xs()]
     # one more point: f(0) in the sup bound, taken once per target
     assert points[0] <= max(cuts) + 1 < sum(cuts)
 

@@ -13,7 +13,7 @@ from qapprox.appell import (
     family_from_spec,
     family_functionals,
     moment_sum,
-    weights,
+    scaled_weights,
 )
 from qapprox.errors import TruncationCapError
 from qapprox.qcore import as_qvalue, q_factorial, q_integer
@@ -53,11 +53,17 @@ def test_family_from_spec_names_and_lists():
         family_by_name("1,0.25")
 
 
+def _weights(family, y, q, **kw):
+    """The true weights c * e^shift and [k]_q, for the small y used here."""
+    c, kq, shift = scaled_weights(family, y, q, **kw)
+    return c * np.exp(shift), kq
+
+
 def test_weight_hand_value():
     # affine: c_2(y) = y^2/[2]_q! + y
     fam = family_by_name("affine")
     want = 0.25 / 1.5 + 0.5
-    c, kq = weights(fam, 0.5, 0.5)
+    c, kq = _weights(fam, 0.5, 0.5)
     assert c[2] == pytest.approx(want, rel=1e-14)
     assert kq[2] == 1.5
 
@@ -69,7 +75,7 @@ def test_weight_matches_direct_formula():
         for _ in range(20):
             y = float(rng.uniform(0.0, 1.5))
             q = float(rng.uniform(0.3, 0.95))
-            c, kq = weights(fam, y, q)
+            c, kq = _weights(fam, y, q)
             for k in range(12):
                 want = sum(
                     fam.coeffs[j] * y ** (k - j) / q_factorial(k - j, q)
@@ -83,8 +89,8 @@ def test_weight_prefix_matches_scalar():
     # an early cut is a prefix of a late one, and each entry is the scalar c_k(y)
     fam = family_by_name("affine")
     y, q = 0.7, 0.8
-    short, _ = weights(fam, y, q, k_min=0)
-    long, _ = weights(fam, y, q, k_min=60)
+    short, _ = _weights(fam, y, q, k_min=0)
+    long, _ = _weights(fam, y, q, k_min=60)
     assert 10 <= len(short) < len(long)
     np.testing.assert_allclose(short, long[: len(short)], rtol=1e-13)
     for k in range(10):
@@ -99,7 +105,7 @@ def test_weight_prefix_matches_scalar():
 )
 def test_weights_nonnegative(name, frac, q):
     # y over the guarded domain [0, SAFETY/(1-q)], where the weight series converges
-    c, _ = weights(family_by_name(name), frac * SAFETY / (1.0 - q), q)
+    c, _, _ = scaled_weights(family_by_name(name), frac * SAFETY / (1.0 - q), q)
     assert np.all(c >= 0.0)
 
 
@@ -125,14 +131,15 @@ def test_moment_sum_against_dense_partial_sums():
     y = 2.0
     fam = family_by_name("affine")
     # 400 terms, far past the default cut at K = 38
-    c, _ = weights(fam, y, q, k_min=399)
+    c, _ = _weights(fam, y, q, k_min=399)
     kq = np.array([q_integer(k, q) for k in range(len(c))])
     assert len(c) == 400
     for power in (0, 1, 2):
         dense = float(np.sum(c * kq**power))
         # the sum for a power alone, and within the sums up to power 2
-        assert moment_sum(fam, y, q, power)[power] == pytest.approx(dense, rel=1e-11)
-        assert moment_sum(fam, y, q, 2)[power] == pytest.approx(dense, rel=1e-11)
+        for top in (power, 2):
+            sums, shift = moment_sum(fam, y, q, top)
+            assert sums[power] * np.exp(shift) == pytest.approx(dense, rel=1e-11)
 
 
 def test_moment_sum_small_y():
@@ -140,8 +147,10 @@ def test_moment_sum_small_y():
     fam = family_by_name("affine")
     q = 0.5
     # c_0 = 1, c_1 = 1, c_k = 0 beyond the degree at y = 0
-    assert moment_sum(fam, 0.0, q, 0) == pytest.approx([2.0], rel=1e-12)
-    assert moment_sum(fam, 0.0, q, 1) == pytest.approx([2.0, 1.0], rel=1e-12)
+    sums, shift = moment_sum(fam, 0.0, q, 1)
+    assert shift == 0.0  # the largest term is t_0 = 1, so the sums are at true scale
+    assert sums == pytest.approx([2.0, 1.0], rel=1e-12)
+    assert moment_sum(fam, 0.0, q, 0)[0] == pytest.approx([2.0], rel=1e-12)
 
 
 def test_moment_sum_cap_outside_radius():

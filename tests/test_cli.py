@@ -8,6 +8,7 @@ import pytest
 
 import qapprox.appell
 import qapprox.cli
+import qapprox.operators
 import qapprox.qcore
 import qapprox.statconv
 from qapprox.analysis import BoundReport
@@ -278,8 +279,8 @@ def _count_calls(monkeypatch, *targets) -> dict:
 
 def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
     # every row in log or ratio form: finite, passing, no overflow warning, and
-    # one kernel call per x (50) and per y and family (20 x 3), no moment_sum
-    # and no scalar product
+    # one kernel call per x (50) and per y and family (20 x 3), the latter
+    # through moment_sum, and no scalar product
     calls = _count_calls(
         monkeypatch,
         (qapprox.appell, "scaled_weights"),
@@ -295,7 +296,7 @@ def test_identities_q0999_finite_and_counted(monkeypatch, tmp_path, capsys):
     table = [l.split(",") for l in out.read_text().splitlines()[2:]]
     assert len(table) == 14
     assert all(math.isfinite(float(r[4])) and r[6] == "pass" for r in table)
-    assert calls == {"scaled_weights": 50 + 3 * 20, "moment_sum": 0, "Eq_exp_product": 0}
+    assert calls == {"scaled_weights": 50 + 3 * 20, "moment_sum": 3 * 20, "Eq_exp_product": 0}
 
 
 def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
@@ -305,7 +306,7 @@ def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
         monkeypatch,
         (qapprox.appell, "scaled_weights"),
         (qapprox.appell, "moment_sum"),
-        (qapprox.qcore, "log_eq_exp"),
+        (qapprox.operators, "log_eq_exp"),
     )
     out = tmp_path / "m.csv"
     assert run(["moments", "--grid", "0:auto:21", "--out", str(out)]) == 0
@@ -313,15 +314,45 @@ def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
     assert calls == {"scaled_weights": 21, "moment_sum": 21, "log_eq_exp": 21}
 
 
-def test_moments_non_finite_row_fails(tmp_path, capsys):
-    # at q=0.999 the series moments overflow to NaN near x_max (the raw sum
-    # and e_q(y) both pass the float range); the closed forms stay finite
+def test_moments_q0999_finite(tmp_path, capsys):
+    # the series moments are ratios of scaled sums, so they stay finite up to
+    # x_max where sum_k c_k and e_q(y) pass the float range
     out = tmp_path / "m.csv"
     rc = run(["moments", "--q", "0.999", "--n", "1000", "--grid", "0:auto:3", "--out", str(out)])
-    assert rc == 1
+    assert rc == 0
+    assert not re.search(r"\b(nan|inf)\b", out.read_text(), re.IGNORECASE)
+    status = capsys.readouterr().out.splitlines()[-1]
+    assert "normalisation residual" in status and "," not in status
+
+
+def test_moments_non_finite_row_fails(monkeypatch, tmp_path, capsys):
+    # a NaN in the kernel sums from x > 0 on: the first point is clean, so a
+    # plain max() over the rows would keep its error and pass
+    real = qapprox.appell.moment_sum
+
+    def planted(family, y, *a):
+        sums, shift = real(family, y, *a)
+        if y > 0.0:
+            sums[1] = math.nan
+        return sums, shift
+
+    monkeypatch.setattr(qapprox.appell, "moment_sum", planted)
+    out = tmp_path / "m.csv"
+    assert run(["moments", "--grid", "0:auto:5", "--out", str(out)]) == 1
     assert "nan" in out.read_text()
     fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
-    assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments ")
+    assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments closed-vs-series ")
+
+
+def test_moments_normalisation_offset_fails(monkeypatch, tmp_path, capsys):
+    # the ratios divide sum_k c_k out, so only the normalisation residual
+    # sees a log e_q that is off by 1e-6; it must fail the command
+    real = qapprox.operators.log_eq_exp
+    monkeypatch.setattr(qapprox.operators, "log_eq_exp", lambda *a: real(*a) + 1e-6)
+    out = tmp_path / "m.csv"
+    assert run(["moments", "--out", str(out)]) == 1
+    fail_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL ")]
+    assert len(fail_lines) == 1 and fail_lines[0].startswith("FAIL moments normalisation ")
 
 
 def test_certificates_finite_at_q0999(tmp_path, capsys):

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 import qapprox.operators
 from qapprox.analysis import GridSpec, delta_n, phi_n
-from qapprox.appell import FAMILIES, weights
+from qapprox.appell import FAMILIES, scaled_weights
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.qcore import eq_exp
 from qapprox.operators import (
-    DEFAULT_TRUNCATION,
     SAFETY,
     TargetFunction,
-    TruncationPolicy,
     as_target,
     auxiliary_evaluate,
     central_moment2,
@@ -31,14 +29,13 @@ from qapprox.statconv import ScheduleSpec, korovkin_table
 
 
 def test_truncation_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(tol=-1e-9)
-    with pytest.raises(ValueError):
-        TruncationPolicy(k_max=8, k_min=16)
-    p = TruncationPolicy(tol=1e-10, k_max=500, k_min=4)
-    assert p.tol == 1e-10
+    op = make_operator(10, 0.8, 2.0, "affine")
+    e1 = preset_function("e1")
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            evaluate(op, e1, 0.5, tol=tol)
+        with pytest.raises(ValueError):
+            classical_evaluate(10, 2.0, e1, 0.5, tol=tol)
 
 
 def test_target_metadata_audit_rejects_false_claims():
@@ -122,7 +119,7 @@ def test_evaluate_cut_pinned():
     # terms evaluate sums for a target bounded by 1 (e0, sin)
     op = make_operator(1000, 0.99, math.sqrt(1000), "affine")
     for frac, terms in ((0.0, 17), (0.95, 583)):
-        c, kq = weights(op.family, op.y(frac * op.x_max), op.q, bound=1.0)
+        c, kq, _ = scaled_weights(op.family, op.y(frac * op.x_max), op.q, bound=1.0)
         assert len(c) == len(kq) == terms
 
 
@@ -150,10 +147,10 @@ def test_moment_series_matches_per_order_cut():
             y = op.y(x)
             norm = sum(op.family.coeffs) * eq_exp(y, op.q)
             got = moment_series(op, x)
-            assert len(got) == 3
+            assert got.norm_residual <= 1e-12, (name, x)
             for i in (0, 1, 2):
-                c, kq = weights(op.family, y, op.q, op.q.radius**i)
-                want = op.scale**i * float(c @ kq**i) / norm
+                c, kq, shift = scaled_weights(op.family, y, op.q, op.q.radius**i)
+                want = op.scale**i * float(c @ kq**i) * math.exp(shift) / norm
                 assert got[i] == pytest.approx(want, rel=1e-11), (name, x, i)
 
 
@@ -259,6 +256,7 @@ def test_closed_forms_sum_no_series(monkeypatch):
         raise AssertionError("closed forms must not sum a q-exponential series")
 
     monkeypatch.setattr(qapprox.operators, "eq_exp", no_series)
+    monkeypatch.setattr(qapprox.operators, "log_eq_exp", no_series)
     op = make_operator(1000, 0.99, math.sqrt(1000), "quad")
     x = 0.5 * op.x_max
     for i in (0, 1, 2):
@@ -326,9 +324,8 @@ def test_moment_power_guard():
 
 def test_truncation_cap_surfaces():
     op = make_operator(10, 0.8, 2.0, "affine")
-    tight = TruncationPolicy(tol=1e-12, k_max=6, k_min=2)
     with pytest.raises(TruncationCapError):
-        evaluate(op, preset_function("e1"), 1.0, tight)
+        scaled_weights(op.family, op.y(1.0), op.q, tol=1e-12, k_min=2, k_max=6)
 
 
 def test_nonfinite_target_raises():

@@ -20,8 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from qapprox.operators import evaluate, make_operator, moment_closed, preset_function
-from qapprox.qcore import Eq_exp, Eq_exp_with_info, eq_exp, log_eq_exp, q_integer
+from qapprox.operators import (
+    evaluate,
+    make_operator,
+    moment_closed,
+    moment_series,
+    preset_function,
+)
+from qapprox.qcore import Eq_exp, Eq_exp_product, eq_exp, log_eq_exp, q_integer
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -85,12 +91,17 @@ def test_moment_closed_against_50_digit_sums():
                 for frac in (0.0, 0.5, 0.9, 1.0):
                     x = frac * op.x_max
                     ref = _reference_moments(coeffs, q, n, op.bn, x)
+                    series = moment_series(op, x)
                     for i in (1, 2):
                         got = moment_closed(op, i, x)
                         assert math.isfinite(got), (q, n, fam, frac, i)
                         err = float(abs(mpmath.mpf(got) - ref[i]) / ref[i])
                         assert err <= 1e-14, (q, n, fam, frac, i, err)
                         worst = max(worst, err)
+                        # the series oracle, in ratio form, up to x_max at q=0.999 too
+                        assert math.isfinite(series[i]), (q, n, fam, frac, i)
+                        err = float(abs(mpmath.mpf(series[i]) - ref[i]) / ref[i])
+                        assert err <= 1e-12, (q, n, fam, frac, i, err)
     assert worst > 0.0  # the sweep did compare something
 
 
@@ -232,7 +243,7 @@ def test_Eq_exp_product_route_against_50_digits():
         radius = 1.0 / (1.0 - q)
         for frac in (0.5, 0.9, 0.95):
             x = -frac * radius
-            assert Eq_exp_with_info(x, q).method == "product"
+            assert Eq_exp(x, q) == Eq_exp_product(x, q)
             log_ref = -_reference_log_eq(-x, q)
             bound = 4 * _EPS * max(1.0, abs(float(log_ref)))
             assert _close(Eq_exp(x, q), log_ref, bound), (q, frac, Eq_exp(x, q))

@@ -11,11 +11,9 @@ from qapprox.qcore import (
     Eq_exp,
     Eq_exp_product,
     Eq_exp_series,
-    Eq_exp_with_info,
     QValue,
     as_qvalue,
     eq_exp,
-    q_binomial,
     q_derivative,
     q_factorial,
     q_integer,
@@ -46,32 +44,9 @@ def test_q_factorial_hand_values():
     assert q_factorial(3, 0.5) == 2.625
 
 
-def test_q_binomial_hand_value():
-    # [4 choose 2]_q at q=1/2: (1+q+q^2)(1+q^2)/(1+q) -> direct expansion
-    assert q_binomial(4, 2, 0.5) == pytest.approx(2.1875, rel=1e-12)
-
-
 @given(qs, st.integers(min_value=0, max_value=60))
 def test_q_integer_recurrence(q, r):
     assert q_integer(r + 1, q) == pytest.approx(1.0 + q * q_integer(r, q), rel=1e-12)
-
-
-@given(qs, st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=14))
-def test_q_binomial_symmetry(q, n, k):
-    if k > n:
-        return
-    assert q_binomial(n, k, q) == pytest.approx(q_binomial(n, n - k, q), rel=1e-11)
-
-
-@given(qs, st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=14))
-def test_q_binomial_pascal_both_forms(q, n, k):
-    if k > n - 1:
-        return
-    c = q_binomial(n, k, q)
-    a = q_binomial(n - 1, k - 1, q)
-    b = q_binomial(n - 1, k, q)
-    assert c == pytest.approx(q**k * b + a, rel=1e-11)
-    assert c == pytest.approx(b + q ** (n - k) * a, rel=1e-11)
 
 
 def test_q_derivative_monomial():
@@ -140,20 +115,15 @@ def test_Eq_series_vs_product_agree():
 
 
 def test_Eq_route_selection():
-    assert Eq_exp_with_info(-18.0, 0.95).method == "product"
-    assert Eq_exp_with_info(-1.0, 0.7).method == "product"
-    info = Eq_exp_with_info(-0.2, 0.7)
-    assert info.method == "series"
-    assert 1.0 < info.cancellation < 3.0
-    pos = Eq_exp_with_info(2.0, 0.7)
-    assert pos.method == "series"
-    assert pos.cancellation == 1.0
+    # the product below -1/2, where the alternating series cancels; the series from -1/2 on
+    for x, q in ((-18.0, 0.95), (-1.0, 0.7), (-0.5000001, 0.7)):
+        assert Eq_exp(x, q) == Eq_exp_product(x, q)
+    for x, q in ((-0.5, 0.7), (-0.2, 0.7), (0.0, 0.7), (2.0, 0.7)):
+        assert Eq_exp(x, q) == Eq_exp_series(x, q)
 
 
-def test_Eq_large_negative_cancellation_reported():
-    info = Eq_exp_with_info(-18.0, 0.95)
-    assert info.cancellation > 1e8
-    assert info.value == pytest.approx(3.0122237642039565e-12, rel=1e-9)
+def test_Eq_large_negative_value():
+    assert Eq_exp(-18.0, 0.95) == pytest.approx(3.0122237642039565e-12, rel=1e-9)
 
 
 def test_Eq_tiny_negative_accuracy():

@@ -153,8 +153,9 @@ def test_statdemo_spiky_first_indices(N, sup_dev):
 
 def test_weighted_norm_values():
     wn = WeightedNorm(GridSpec(0.0, 1.0, 101))
-    assert wn.of_function(lambda x: np.ones_like(x)) == 1.0
-    assert wn.of_function(lambda x: x * x) == 0.5
+    xs = wn.grid.xs()
+    assert wn.of_values(np.ones_like(xs)) == 1.0
+    assert wn.of_values(xs * xs) == 0.5
 
 
 def test_weighted_norm_shape_guard():
