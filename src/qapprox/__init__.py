@@ -8,9 +8,7 @@ from .qcore import (
     DEFAULT_TOL,
     SERIES_CAP,
     QValue,
-    as_qvalue,
     q_integer,
-    q_factorial,
     q_derivative,
     eq_exp,
     log_eq_exp,
@@ -35,7 +33,6 @@ from .operators import (
     as_target,
     auxiliary_evaluate,
     central_moment2,
-    classical_evaluate,
     evaluate,
     make_operator,
     moment_closed,
@@ -62,12 +59,9 @@ from .analysis import (
 )
 from .statconv import (
     ScheduleSpec,
-    WeightedNorm,
     clip_grid_for,
     is_perfect_square,
     korovkin_table,
-    natural_density,
-    st_limit_verify,
 )
 
 __version__ = "0.1.0"

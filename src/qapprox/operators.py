@@ -11,8 +11,8 @@ monomial moments are exact (D_q e_q = e_q makes every e_q ratio in them a
 polynomial in y) and sit next to a brute-force series oracle; the
 second-moment closed form used everywhere is the series-verified one, while
 `moment_closed_uncorrected` keeps the weaker variant around for fidelity
-tables.  A classical (q = 1) Poisson-weighted reference operator rounds out
-the module.
+tables.  The classical (q = 1) Poisson-weighted operator the q -> 1 limit
+approaches is a test oracle (`tests/oracles.py`), not part of the library.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .appell import (
     family_functionals,
     scaled_weights,
 )
-from .errors import DomainError, EvaluationError, TruncationCapError
-from .qcore import DEFAULT_TOL, SERIES_CAP, QValue, as_qvalue, log_eq_exp, q_integer
+from .errors import DomainError, EvaluationError
+from .qcore import DEFAULT_TOL, QValue, as_qvalue, log_eq_exp, q_integer
 # unused here; bound so that perfbench's tracer test can check it is wrapped in operators
 from .qcore import eq_exp
 from . import appell as _appell
@@ -52,7 +52,6 @@ __all__ = [
     "central_moment2",
     "shift_term",
     "auxiliary_evaluate",
-    "classical_evaluate",
 ]
 
 _AUDIT_HI = 10.0
@@ -358,55 +357,3 @@ def auxiliary_evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_T
     f = as_target(f)
     s = shift_term(op, x)
     return evaluate(op, f, x, tol) - float(f(x + s)) + float(f(x))
-
-
-def _poisson_rate_bound(f: TargetFunction, step: float) -> tuple:
-    """(amp, per-step factor) with |f(k*step)| <= amp * factor^k, best effort."""
-    if f.bounded is not None:
-        return (f.bounded, 1.0)
-    if f.growth is not None:
-        amp, rate = f.growth
-        return (amp, math.exp(max(rate, 0.0) * step))
-    if f.lip is not None:
-        m, _ = f.lip
-        # t^a <= 1 + t <= e^t for a <= 1
-        return (abs(float(f(0.0))) + m, math.exp(step))
-    m = float(np.max(np.abs(f(np.linspace(0.0, 64.0 * step, 257)))))
-    return (2.0 * m + 1e-6, math.exp(step))  # heuristic growth guess
-
-
-def _poisson(k: int, base: float, lam: float) -> float:
-    """e^{-lam} base^k / k!, formed in log space: a recurrence started from
-    e^{-lam} underflows to 0 for lam > ~745 and stays 0."""
-    if base == 0.0:
-        return math.exp(-lam) if k == 0 else 0.0
-    return math.exp(k * math.log(base) - lam - math.lgamma(k + 1.0))
-
-
-def classical_evaluate(n: int, bn: float, f, x: float, tol: float = DEFAULT_TOL) -> float:
-    """q = 1 reference: Poisson-weighted sums over nodes k*b_n/n."""
-    if x < 0.0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    if not (n >= 1 and bn > 0.0):
-        raise ValueError(f"need n >= 1 and b_n > 0, got n={n}, b_n={bn}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    f = as_target(f)
-    step = bn / n
-    lam = n * x / bn
-    amp, factor = _poisson_rate_bound(f, step)
-    lam2 = lam * factor  # e^{-lam} lam2^k / k! dominates the weight times |f| / amp
-    total = 0.0
-    for k in range(SERIES_CAP + 1):
-        fv = float(f(k * step))
-        if not math.isfinite(fv):
-            raise EvaluationError(f"{f.name} returned {fv} at node {k * step}")
-        total += _poisson(k, lam, lam) * fv
-        if k >= 16:
-            r = lam2 / (k + 2.0)
-            w2_next = _poisson(k + 1, lam2, lam)
-            if r < 1.0 and amp * w2_next / (1.0 - r) <= tol * max(1.0, abs(total)):
-                return total
-    raise TruncationCapError(
-        f"classical_evaluate hit the {SERIES_CAP}-term cap at x={x}, n={n}"
-    )

@@ -1,7 +1,7 @@
 """q-calculus primitives with explicit convergence domains.
 
-Everything here is elementary: q-integers, q-factorials, the q-difference
-quotient, and the two q-exponential series
+Everything here is elementary: q-integers, the q-difference quotient, and
+the two q-exponential series
 
     small:  e_q(x) = sum_k x^k / [k]_q!          (radius 1/(1-q))
     big:    E_q(x) = sum_k q^(k(k-1)/2) x^k / [k]_q!   (entire)
@@ -25,7 +25,6 @@ from .errors import DomainError, EvaluationError, TruncationCapError
 __all__ = [
     "QValue",
     "q_integer",
-    "q_factorial",
     "q_derivative",
     "eq_exp",
     "log_eq_exp",
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-SERIES_CAP = 10_000
+SERIES_CAP = 10_000  # most terms a series sums; read at call time
 
 # Step for the central difference that replaces the q-difference quotient at
 # x = 0 (where the quotient degenerates to the ordinary derivative).
@@ -83,19 +82,6 @@ def q_integer(r: int, q) -> float:
     return float(q_integers(float(r), as_qvalue(q).q))
 
 
-def q_factorial(n: int, q) -> float:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    qv = as_qvalue(q)
-    out = 1.0
-    for j in range(1, int(n) + 1):
-        out *= q_integer(j, qv)
-    if math.isinf(out):
-        raise OverflowError(f"q-factorial overflowed at n={n}, q={qv.q}")
-    return out
-
-
 def q_derivative(f, x: float, q) -> float:
     """q-difference quotient (f(x) - f(qx)) / ((1-q)x).
 
@@ -120,7 +106,7 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
     """log e_q(x) = sum_{m>=1} a^m / (m (1-q^m)), a = (1-q)x, for |x| < 1/(1-q).
 
     This expands log e_q(x) = -sum_j log(1 - a q^j), the log of the product
@@ -131,7 +117,7 @@ def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -
     that bound is <= tol: an absolute error in the log, so a relative one in
     e_q(x).  As |t_m| <= |a|^m/(1-q), that M is known not to lie past the
     first m with |a|^m/(1-q) |a|/(1-|a|) <= tol, so one numpy pass over that
-    many terms (at most k_max) finds it.
+    many terms (at most SERIES_CAP) finds it.
     """
     qv = as_qvalue(q)
     x = float(x)
@@ -144,27 +130,27 @@ def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -
         return 0.0
     tail = abs(a) / (1.0 - abs(a))  # |t_M| times this bounds the tail
     width = math.ceil((math.log(tol * (1.0 - qv.q)) - math.log(tail)) / math.log(abs(a)))
-    m = np.arange(1.0, min(max(width, 1), k_max) + 1.0)
+    m = np.arange(1.0, min(max(width, 1), SERIES_CAP) + 1.0)
     t = np.power(a, m) / (m * -np.expm1(m * math.log(qv.q)))
     cut = np.abs(t) * tail <= tol
     if not cut.any():
         raise TruncationCapError(
-            f"eq_exp({x}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
+            f"eq_exp({x}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms"
         )
     return float(np.sum(t[: int(np.argmax(cut)) + 1]))
 
 
-def eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+def eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
     """Small q-exponential e_q(x) = sum_k x^k/[k]_q!, defined for |x| < 1/(1-q).
 
     It is exp(log_eq_exp(x)), so it is as accurate for x < 0, where the
     series alternates and cancels, as for x > 0, and it is inf exactly where
     e_q(x) passes the float range.
     """
-    return _exp(log_eq_exp(x, q, tol, k_max))
+    return _exp(log_eq_exp(x, q, tol))
 
 
-def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL) -> float:
     """Raw series for the big q-exponential.
 
     Fully trustworthy only for x >= 0 where every term is positive; for
@@ -176,7 +162,7 @@ def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP
     total = 0.0
     term = 1.0
     qpow = 1.0  # q^k
-    for k in range(k_max + 1):
+    for k in range(SERIES_CAP + 1):
         total += term
         qint_next = (1.0 - qpow * qv.q) / (1.0 - qv.q)  # [k+1]_q
         ratio = qpow * abs(x) / qint_next
@@ -187,7 +173,7 @@ def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP
         term *= qpow * x / qint_next
         qpow *= qv.q
     raise TruncationCapError(
-        f"Eq_exp({x}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
+        f"Eq_exp({x}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms"
     )
 
 
@@ -257,11 +243,11 @@ def Eq_exp_product(x: float, q, tol: float = DEFAULT_TOL) -> float:
 _SERIES_NEG_LIMIT = 0.5
 
 
-def Eq_exp(x: float, q, tol: float = DEFAULT_TOL, k_max: int = SERIES_CAP) -> float:
+def Eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
     """Big q-exponential E_q(x) = sum_k q^(k(k-1)/2) x^k/[k]_q! (entire).
 
     The series for x >= -1/2; below, the product, where nothing cancels.
     """
     if float(x) >= -_SERIES_NEG_LIMIT:
-        return Eq_exp_series(x, q, tol, k_max)
+        return Eq_exp_series(x, q, tol)
     return Eq_exp_product(x, q, tol)

@@ -1,11 +1,13 @@
-"""Natural density, statistical limits, and weighted convergence curves.
+"""Statistical-convergence schedules and weighted convergence curves.
 
 The experiment schedules pair a parameter sequence q_n with a stretch
 sequence b_n = n^(1/4).  The smooth schedule (q_n = 1 - 1/sqrt(n)) satisfies
 every hypothesis of the weighted convergence theorem in the ordinary sense;
 the spiky schedule drops q_n to 1/2 on the perfect squares, killing the
 ordinary limit while leaving the statistical limit at 1, since the squares
-have natural density zero.
+have natural density zero.  `ScheduleSpec` counts the exceptional indices
+in closed form; the brute-force density counters it must equal are test
+oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .qcore import q_integer
 __all__ = [
     "is_perfect_square",
     "ScheduleSpec",
-    "WeightedNorm",
-    "natural_density",
-    "st_limit_verify",
     "clip_grid_for",
     "korovkin_table",
 ]
@@ -67,7 +66,7 @@ class ScheduleSpec:
     # eps is.
 
     def exceptional_count(self, eps: float, N: int) -> int:
-        """|{k <= N : |q_at(k) - 1| >= eps}|, the count st_limit_verify takes."""
+        """|{k <= N : |q_at(k) - 1| >= eps}|, the eps-exceptional index count."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         if N < 1:
@@ -100,39 +99,6 @@ class ScheduleSpec:
         return max(abs(self.q_at(k) - 1.0) for k in ks)
 
 
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Grid sup of |f(x)| / (1 + x^2)."""
-
-    grid: GridSpec
-
-    def weights(self) -> np.ndarray:
-        return 1.0 + self.grid.xs() ** 2
-
-    def of_values(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.grid.points,):
-            raise ValueError(
-                f"expected {self.grid.points} values, got shape {values.shape}"
-            )
-        return float(np.max(np.abs(values) / self.weights()))
-
-
-def natural_density(predicate, N: int) -> float:
-    """|{k <= N : predicate(k)}| / N."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    count = sum(1 for k in range(1, N + 1) if predicate(k))
-    return count / N
-
-
-def st_limit_verify(seq, L: float, eps: float, N: int) -> float:
-    """Density of the eps-exceptional index set {k <= N : |seq(k) - L| >= eps}."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return natural_density(lambda k: abs(float(seq(k)) - L) >= eps, N)
-
-
 def clip_grid_for(schedule: ScheduleSpec, ns, grid: GridSpec) -> GridSpec:
     """Shrink the grid so every instance along ns can evaluate on it."""
     hi = grid.x_hi
@@ -157,19 +123,21 @@ def korovkin_table(
 ) -> list:
     """Rows (n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) for CSV emission.
 
-    err_v is the weighted error of the v-th monomial moment on the grid,
-    which must lie inside every operator's domain along ns (clip_grid_for
-    makes one that does); moment_closed raises DomainError otherwise.
+    err_v is the weighted error max |moment_v(x) - x^v| / (1 + x^2) of the
+    v-th monomial moment on the grid, which must lie inside every operator's
+    domain along ns (clip_grid_for makes one that does); moment_closed
+    raises DomainError otherwise.
     """
-    norm = WeightedNorm(grid)
-    xs = [float(x) for x in grid.xs()]
+    grid_xs = grid.xs()
+    weights = 1.0 + grid_xs**2
+    xs = [float(x) for x in grid_xs]
     rows = []
     for n in ns:
         q = schedule.q_at(n)
         bn = schedule.b_at(n)
         op = make_operator(n, q, bn, family)
         errs = [
-            norm.of_values([moment_closed(op, v, x) - x**v for x in xs])
+            float(np.max(np.abs([moment_closed(op, v, x) - x**v for x in xs]) / weights))
             for v in (0, 1, 2)
         ]
         rows.append((n, q, bn, bn / q_integer(n, q), *errs))

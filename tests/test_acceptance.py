@@ -27,7 +27,6 @@ from qapprox.operators import (
     as_target,
     auxiliary_evaluate,
     central_moment2,
-    classical_evaluate,
     evaluate,
     make_operator,
     moment_closed,
@@ -36,13 +35,9 @@ from qapprox.operators import (
     preset_function,
     shift_term,
 )
-from qapprox.statconv import (
-    ScheduleSpec,
-    is_perfect_square,
-    korovkin_table,
-    natural_density,
-    st_limit_verify,
-)
+from qapprox.statconv import ScheduleSpec, is_perfect_square, korovkin_table
+
+from oracles import classical_szasz, natural_density, st_limit_verify
 
 QS = (0.5, 0.8, 0.95)
 NS = (5, 10, 20, 40)
@@ -182,7 +177,7 @@ def test_criterion_05_classical_limit_trend():
         for q in (0.9, 0.99, 0.999, 0.9999):
             op = make_operator(30, q, bn, "one")
             devs.append(
-                abs(evaluate(op, fsin, x) - classical_evaluate(30, bn, fsin, x))
+                abs(evaluate(op, fsin, x) - classical_szasz(30, bn, fsin, x))
             )
         ok = ok and all(d0 > d1 for d0, d1 in zip(devs, devs[1:]))
         detail.append("x=%g:%.2e->%.2e" % (x, devs[0], devs[-1]))

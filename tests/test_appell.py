@@ -16,7 +16,9 @@ from qapprox.appell import (
     scaled_weights,
 )
 from qapprox.errors import TruncationCapError
-from qapprox.qcore import as_qvalue, q_factorial, q_integer
+from qapprox.qcore import as_qvalue, q_integer
+
+from oracles import q_factorial
 
 
 def test_builtin_families():

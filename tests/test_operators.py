@@ -16,7 +16,6 @@ from qapprox.operators import (
     as_target,
     auxiliary_evaluate,
     central_moment2,
-    classical_evaluate,
     evaluate,
     make_operator,
     moment_closed,
@@ -27,15 +26,15 @@ from qapprox.operators import (
 )
 from qapprox.statconv import ScheduleSpec, korovkin_table
 
+from oracles import classical_szasz
 
-def test_truncation_policy_validation():
+
+def test_tol_validation():
     op = make_operator(10, 0.8, 2.0, "affine")
     e1 = preset_function("e1")
     for tol in (0.0, -1e-9, math.inf, math.nan):
         with pytest.raises(ValueError):
             evaluate(op, e1, 0.5, tol=tol)
-        with pytest.raises(ValueError):
-            classical_evaluate(10, 2.0, e1, 0.5, tol=tol)
 
 
 def test_target_metadata_audit_rejects_false_claims():
@@ -341,10 +340,10 @@ def test_classical_poisson_moments():
     e0 = preset_function("e0")
     e1 = preset_function("e1")
     e2 = preset_function("e2")
-    assert classical_evaluate(30, math.sqrt(30), e0, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert classical_evaluate(30, math.sqrt(30), e1, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert classical_szasz(30, math.sqrt(30), e0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert classical_szasz(30, math.sqrt(30), e1, 1.0) == pytest.approx(1.0, abs=1e-10)
     want = 1.0 + math.sqrt(30) / 30
-    got = classical_evaluate(30, math.sqrt(30), e2, 1.0)
+    got = classical_szasz(30, math.sqrt(30), e2, 1.0)
     assert got == pytest.approx(want, rel=1e-9)
     assert got == pytest.approx(1.1825741858350063, rel=1e-13)
 
@@ -353,8 +352,8 @@ def test_classical_large_lambda():
     # lambda = n x / b_n = 1000: e^{-lambda} alone underflows to 0
     e0 = preset_function("e0")
     e1 = preset_function("e1")
-    assert classical_evaluate(10_000, 100.0, e0, 10.0) == pytest.approx(1.0, abs=1e-10)
-    assert classical_evaluate(10_000, 100.0, e1, 10.0) == pytest.approx(10.0, abs=1e-10)
+    assert classical_szasz(10_000, 100.0, e0, 10.0) == pytest.approx(1.0, abs=1e-10)
+    assert classical_szasz(10_000, 100.0, e1, 10.0) == pytest.approx(10.0, abs=1e-10)
 
 
 def test_classical_limit_trend():
@@ -364,7 +363,7 @@ def test_classical_limit_trend():
         devs = []
         for q in (0.9, 0.99, 0.999):
             op = make_operator(30, q, bn, "one")
-            devs.append(abs(evaluate(op, fsin, x) - classical_evaluate(30, bn, fsin, x)))
+            devs.append(abs(evaluate(op, fsin, x) - classical_szasz(30, bn, fsin, x)))
         assert devs[0] > devs[1] > devs[2]
 
 

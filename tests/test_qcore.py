@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qapprox.qcore
 from qapprox.errors import DomainError, TruncationCapError
 from qapprox.qcore import (
     DEFAULT_TOL,
@@ -15,7 +16,6 @@ from qapprox.qcore import (
     as_qvalue,
     eq_exp,
     q_derivative,
-    q_factorial,
     q_integer,
 )
 
@@ -37,11 +37,6 @@ def test_q_integer_hand_values():
     assert q_integer(0, 0.5) == 0.0
     assert q_integer(1, 0.5) == 1.0
     assert q_integer(3, 0.5) == 1.75
-
-
-def test_q_factorial_hand_values():
-    assert q_factorial(0, 0.5) == 1.0
-    assert q_factorial(3, 0.5) == 2.625
 
 
 @given(qs, st.integers(min_value=0, max_value=60))
@@ -98,9 +93,10 @@ def test_eq_exp_domain_guard():
         eq_exp(-2.5, 0.5)
 
 
-def test_eq_exp_cap():
+def test_eq_exp_cap(monkeypatch):
+    monkeypatch.setattr(qapprox.qcore, "SERIES_CAP", 50)
     with pytest.raises(TruncationCapError):
-        eq_exp(1.999999999, 0.5, tol=1e-12, k_max=50)
+        eq_exp(1.999999999, 0.5, tol=1e-12)
 
 
 def test_Eq_series_vs_product_agree():

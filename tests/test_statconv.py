@@ -2,7 +2,6 @@ import contextlib
 import io
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,16 +9,10 @@ from hypothesis import strategies as st
 from qapprox.analysis import GridSpec
 from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError
-from qapprox.statconv import (
-    ScheduleSpec,
-    WeightedNorm,
-    clip_grid_for,
-    is_perfect_square,
-    korovkin_table,
-    natural_density,
-    st_limit_verify,
-)
+from qapprox.statconv import ScheduleSpec, clip_grid_for, is_perfect_square, korovkin_table
 from qapprox.appell import family_by_name
+
+from oracles import natural_density, st_limit_verify
 
 
 def test_is_perfect_square():
@@ -149,19 +142,6 @@ def test_statdemo_spiky_first_indices(N, sup_dev):
     sched = ScheduleSpec("spiky")
     assert sched.max_dev(1, N) == pytest.approx(sup_dev, rel=1e-15)
     assert _cli_statdemo_row("spiky", 0.6, N) == _brute_statdemo_row(sched, 0.6, N)
-
-
-def test_weighted_norm_values():
-    wn = WeightedNorm(GridSpec(0.0, 1.0, 101))
-    xs = wn.grid.xs()
-    assert wn.of_values(np.ones_like(xs)) == 1.0
-    assert wn.of_values(xs * xs) == 0.5
-
-
-def test_weighted_norm_shape_guard():
-    wn = WeightedNorm(GridSpec(0.0, 1.0, 101))
-    with pytest.raises(ValueError):
-        wn.of_values(np.zeros(7))
 
 
 def test_clip_grid_noop_when_inside():
