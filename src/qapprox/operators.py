@@ -32,7 +32,7 @@ from .appell import (
     scaled_weights,
 )
 from .errors import DomainError, EvaluationError
-from .qcore import DEFAULT_TOL, QValue, as_qvalue, log_eq_exp, q_integer
+from .qcore import DEFAULT_TOL, QValue, _exp, as_qvalue, log_eq_exp, q_integer
 # unused here; bound so that perfbench's tracer test can check it is wrapped in operators
 from .qcore import eq_exp
 from . import appell as _appell
@@ -181,11 +181,11 @@ class OperatorInstance:
     node_sup: float = field(init=False)
     functionals: Functionals = field(init=False)
     # [f as passed, f as a TargetFunction, its sup bound on the nodes, f at
-    # the first nodes] for the last target evaluated: the node set does not
-    # depend on x, so evaluating a grid converts f once and calls it once
-    # per node, whether f is a TargetFunction or a raw callable
+    # the first nodes, L f(x) by (x, tol)] for the last target evaluated: the
+    # node set does not depend on x, so a grid converts f once, calls it once
+    # per node and, however many checkers share the grid, takes each L f(x) once
     _target: list = field(
-        init=False, repr=False, compare=False, default_factory=lambda: [None, None, 0.0, np.zeros(0)]
+        init=False, repr=False, compare=False, default_factory=lambda: [None, None, 0.0, np.zeros(0), {}]
     )
 
     def __post_init__(self) -> None:
@@ -214,11 +214,16 @@ def make_operator(n: int, q, bn: float, family) -> OperatorInstance:
     return OperatorInstance(n=n, q=as_qvalue(q), bn=bn, family=family)
 
 
-def _check_x(op: OperatorInstance, x: float) -> None:
-    if not (0.0 <= x <= op.x_max):
-        raise DomainError(
-            f"x={x} outside [0, {op.x_max}] for n={op.n}, q={op.q.q}, b_n={op.bn}"
-        )
+def _check_x(op: OperatorInstance, x) -> None:
+    """x a float (one compare: converge checks a point a call) or an array."""
+    try:
+        if 0.0 <= x <= op.x_max:
+            return
+    except ValueError:  # an array has no single truth value: check its range
+        if 0.0 <= np.min(x) and np.max(x) <= op.x_max:
+            return
+    where = f"x={x}" if np.ndim(x) == 0 else f"x in [{np.min(x)}, {np.max(x)}]"
+    raise DomainError(f"{where} outside [0, {op.x_max}] for n={op.n}, q={op.q.q}, b_n={op.bn}")
 
 
 def _node_sup_bound(f: TargetFunction, hi: float) -> float:
@@ -228,11 +233,13 @@ def _node_sup_bound(f: TargetFunction, hi: float) -> float:
         cands.append(f.bounded)
     if f.growth is not None:
         amp, rate = f.growth
-        cands.append(amp * math.exp(max(rate, 0.0) * hi))
+        cands.append(amp * _exp(max(rate, 0.0) * hi))
     if f.lip is not None:
         m, a = f.lip
         cands.append(abs(float(f(0.0))) + m * hi**a)
     if cands:
+        if min(cands) == math.inf:
+            raise EvaluationError(f"{f.name}: no finite sup bound on the nodes [0, {hi}]")
         return min(cands)
     # no metadata: probe densely and pad; heuristic, documented as such
     m = float(np.max(np.abs(f(np.linspace(0.0, hi, 257)))))
@@ -243,14 +250,17 @@ def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> flo
     """Operator value at x, truncated under a proven geometric tail bound.
 
     The weights are scaled by their largest term, which cancels in the
-    ratio, so the value stays finite on the whole guarded domain.
+    ratio, so the value stays finite on the whole guarded domain.  Values
+    are kept per (x, tol) until another f is evaluated on this operator.
     """
     _check_x(op, x)
     slot = op._target
     if slot[0] is not f:
         target = as_target(f)
-        slot[:] = f, target, _node_sup_bound(target, op.node_sup), np.zeros(0)
-    _, f, bound, known = slot
+        slot[:] = f, target, _node_sup_bound(target, op.node_sup), np.zeros(0), {}
+    _, f, bound, known, memo = slot
+    if (x, tol) in memo:
+        return memo[x, tol]
     c, kq, _ = scaled_weights(op.family, op.y(x), op.q, bound, tol)
     if len(known) < len(kq):
         nodes = kq[len(known) :] * op.scale
@@ -260,7 +270,8 @@ def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> flo
             k = int(np.argmax(bad))
             raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
         known = slot[3] = np.concatenate([known, fv])
-    return float(c @ known[: len(kq)] / c.sum())
+    memo[x, tol] = value = float(c @ known[: len(kq)] / c.sum())
+    return value
 
 
 def _damping(op: OperatorInstance, y: float) -> float:
@@ -269,8 +280,9 @@ def _damping(op: OperatorInstance, y: float) -> float:
     return 1.0 - (1.0 - op.q.q) * y
 
 
-def moment_closed(op: OperatorInstance, i: int, x: float) -> float:
-    """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form."""
+def moment_closed(op: OperatorInstance, i: int, x):
+    """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form.
+    x is a float or an array (elementwise; i = 0 gives 1.0, which broadcasts)."""
     _check_x(op, x)
     if i == 0:
         return 1.0
@@ -336,19 +348,17 @@ def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> S
     return SeriesMoments(*m, residual)
 
 
-def central_moment2(op: OperatorInstance, x: float) -> float:
-    """Second moment about x; nonnegative on the guarded domain."""
+def central_moment2(op: OperatorInstance, x):
+    """Second moment about x, a float or an array; nonnegative on the guarded domain."""
     m1 = moment_closed(op, 1, x)
     m2 = moment_closed(op, 2, x)
     return m2 - 2.0 * x * m1 + x * x
 
 
-def shift_term(op: OperatorInstance, x: float) -> float:
-    """s_n(x), the first-moment bias: moment_closed(1, x) - x."""
+def shift_term(op: OperatorInstance, x):
+    """s_n(x) = moment_closed(1, x) - x, the first-moment bias; x a float or an array."""
     _check_x(op, x)
     fns = op.functionals
-    if fns.DqA1 == 0.0:
-        return 0.0
     return (fns.DqA1 / fns.A1) * _damping(op, op.y(x)) * op.scale
 
 

@@ -23,7 +23,15 @@ from qapprox.analysis import (
 )
 from qapprox.errors import DomainError
 from qapprox.appell import scaled_weights
-from qapprox.operators import TargetFunction, as_target, evaluate, make_operator, preset_function
+from qapprox.operators import (
+    TargetFunction,
+    as_target,
+    central_moment2,
+    evaluate,
+    make_operator,
+    preset_function,
+    shift_term,
+)
 from qapprox.statconv import ScheduleSpec
 
 
@@ -144,6 +152,44 @@ def test_grid_measures_match_scalar_loops():
             bend = max(abs(g[i + 1] - 2 * g[i] + g[i - 1]) for i in range(1, len(g) - 1)) / grid.step**2
             best = min(best, err + 0.01 * bend)
         assert k2_estimate(f, 0.01, grid) == pytest.approx(best, rel=1e-14)
+
+
+def _lipschitz_maximal_rows(f, alpha, grid):
+    """The per-row loop lipschitz_maximal replaced, as its reference."""
+    xs = grid.xs()
+    vals = as_target(f)(xs)
+    out = np.empty(len(xs))
+    for i, (x, fx) in enumerate(zip(xs, vals)):
+        dist = np.abs(xs - x)
+        mask = dist > 0.0
+        out[i] = np.max(np.abs(vals[mask] - fx) / dist[mask] ** alpha)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.394, 1.0])
+@pytest.mark.parametrize("name", ["sin", "abspow:0.394:6.856"])
+def test_lipschitz_maximal_blocks_match_rows(alpha, name):
+    # 2001 points span several row blocks (63 of 32 rows, the last short)
+    f = preset_function(name)
+    grid = GridSpec(0.0, 20.0, 2001)
+    assert 2001 * 2001 > 2 * qapprox.analysis._BLOCK
+    assert np.array_equal(lipschitz_maximal(f, alpha, grid), _lipschitz_maximal_rows(f, alpha, grid))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.99, 0.999])
+@pytest.mark.parametrize("family", ["one", "affine", "quad"])
+def test_sup_passes_match_the_point_loops(q, family):
+    # delta_n, phi_n and the local checker's shift_sup as array expressions
+    # against the generator loops they replaced, bit for bit
+    op = make_operator(1000, q, math.sqrt(1000), family)
+    grid = GridSpec(0.0, op.x_max, 51)
+    xs = [float(x) for x in grid.xs()]
+    mu2 = [central_moment2(op, x) for x in xs]
+    shift = [shift_term(op, x) for x in xs]
+    assert delta_n(op, grid).value == max(max(mu2), 0.0)
+    assert phi_n(op, grid).value == max(max(m + s**2 for m, s in zip(mu2, shift)), 0.0)
+    rep = check_local_theorem(op, preset_function("sin"), grid)
+    assert rep.extras["shift_sup"] == max(shift)
 
 
 def test_lipschitz_maximal_linear():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qapprox.analysis
 import qapprox.appell
 import qapprox.cli
 import qapprox.operators
@@ -312,6 +313,68 @@ def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
     assert run(["moments", "--grid", "0:auto:21", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 3 * 21
     assert calls == {"scaled_weights": 21, "moment_sum": 21, "log_eq_exp": 21}
+
+
+def test_certificates_compute_each_point_once(monkeypatch, tmp_path):
+    # rates' three checkers share each L f(x) through evaluate's memo, so
+    # 3 evaluate calls but one kernel call per grid point
+    calls = _count_calls(
+        monkeypatch,
+        (qapprox.analysis, "evaluate"),
+        (qapprox.operators, "scaled_weights"),
+    )
+    out = tmp_path / "r.csv"
+    assert run(["rates", "--grid", "0:auto:11", "--out", str(out)]) == 0
+    assert "# summary name=maximal" in out.read_text()
+    assert calls == {"evaluate": 3 * 11, "scaled_weights": 11}
+    calls.update(evaluate=0, scaled_weights=0)
+    assert run(["local", "--grid", "0:auto:11", "--out", str(out)]) == 0
+    assert calls == {"evaluate": 11, "scaled_weights": 11}
+
+
+def test_rates_without_the_memo_writes_the_same_csv(monkeypatch, tmp_path):
+    # a certify-large rates command with the memo emptied before every
+    # evaluate: 3 kernel calls per point, and the same bytes
+    argv = ["rates", "--q", "0.99", "--function", "abspow:0.394:6.856", "--n", "1000",
+            "--bn", "sqrt", "--family", "affine", "--grid", "0.03819:auto:101"]
+    memo, plain = tmp_path / "memo.csv", tmp_path / "plain.csv"
+    assert run(argv + ["--out", str(memo)]) == 0
+    real = qapprox.analysis.evaluate
+
+    def no_memo(op, f, x, tol):
+        op._target[-1].clear()
+        return real(op, f, x, tol)
+
+    monkeypatch.setattr(qapprox.analysis, "evaluate", no_memo)
+    calls = _count_calls(monkeypatch, (qapprox.operators, "scaled_weights"))
+    assert run(argv + ["--out", str(plain)]) == 0
+    assert calls == {"scaled_weights": 3 * 101}
+    assert plain.read_bytes().replace(b"plain.csv", b"memo.csv") == memo.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--q", "0.999", "--n", "1"),
+        ("--q", "0.99", "--n", "1", "--bn", "10"),
+        ("--q", "0.5", "--n", "10", "--bn", "1000"),
+    ],
+)
+def test_rates_past_the_exp_range_runs(argv, tmp_path, capsys):
+    # nodes past ~709: the growth candidate of the node bound reads inf and
+    # a finite lip or bounded candidate decides, where e^hi used to raise
+    out = tmp_path / "r.csv"
+    # (exit 1 is the rate theorem's zero rhs below one grid step, a defect
+    # of the grid modulus; the summary's sup_ratio then reads inf)
+    assert run(["rates", *argv, "--grid", "0:auto:11", "--out", str(out)]) in (0, 1)
+    rows = [l for l in out.read_text().splitlines()[2:] if not l.startswith("#")]
+    assert len(rows) == 3 * 11
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+    capsys.readouterr()
+    # growth alone leaves no finite bound: a one-line error, exit 3
+    assert run(["rates", *argv, "--function", "e2", "--grid", "0:auto:11", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error: e2: no finite sup bound") and err.count("\n") == 1
 
 
 def test_moments_q0999_finite(tmp_path, capsys):

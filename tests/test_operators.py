@@ -311,6 +311,68 @@ def test_domain_guard():
         evaluate(op, e1, -0.1)
     with pytest.raises(DomainError):
         moment_closed(op, 2, op.x_max + 0.01)
+    # an array is checked as a whole: one bad point anywhere in it raises
+    for bad in (np.nextafter(op.x_max, math.inf), -1e-300, math.nan):
+        xs = np.linspace(0.0, op.x_max, 11)
+        xs[7] = bad
+        for closed in (
+            lambda: moment_closed(op, 0, xs),
+            lambda: moment_closed(op, 2, xs),
+            lambda: central_moment2(op, xs),
+            lambda: shift_term(op, xs),
+        ):
+            with pytest.raises(DomainError, match=r"x in \["):
+                closed()
+
+
+@pytest.mark.parametrize("q", [0.5, 0.99, 0.999])
+@pytest.mark.parametrize("family", ["one", "affine", "quad"])
+def test_closed_forms_on_arrays_match_scalar_calls(q, family):
+    # the same arithmetic elementwise, so bit for bit on the whole domain
+    op = make_operator(1000, q, math.sqrt(1000), family)
+    xs = np.linspace(0.0, op.x_max, 201)
+    for closed in (
+        lambda x: moment_closed(op, 0, x),
+        lambda x: moment_closed(op, 1, x),
+        lambda x: moment_closed(op, 2, x),
+        lambda x: central_moment2(op, x),
+        lambda x: shift_term(op, x),
+    ):
+        got = np.broadcast_to(closed(xs), xs.shape)  # order 0 is the scalar 1.0
+        assert np.array_equal(got, [closed(float(x)) for x in xs])
+
+
+def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
+    # L f(x) is kept per (x, tol) for the operator's last f, so a repeat
+    # costs no kernel call and anything else that changes the value does
+    calls, real = [], qapprox.operators.scaled_weights
+    monkeypatch.setattr(qapprox.operators, "scaled_weights", lambda *a: calls.append(a) or real(*a))
+    op = make_operator(100, 0.95, 10.0, "affine")
+    sin, e1 = preset_function("sin"), preset_function("e1")
+    v = evaluate(op, sin, 0.5)
+    assert evaluate(op, sin, 0.5) == v and len(calls) == 1
+    assert evaluate(op, sin, 0.25) != v and len(calls) == 2
+    assert evaluate(op, e1, 0.5) != v and len(calls) == 3
+    assert evaluate(op, sin, 0.5) == v and len(calls) == 4
+    evaluate(op, sin, 0.5, tol=1e-6)
+    assert len(calls) == 5
+    assert evaluate(op, sin, 0.5, tol=1e-6) == evaluate(op, sin, 0.5, tol=1e-6)
+    assert len(calls) == 5
+    other = make_operator(100, 0.9, 10.0, "affine")
+    assert evaluate(other, sin, 0.5) != v and len(calls) == 6
+    assert evaluate(op, sin, 0.5) == v and len(calls) == 6
+
+
+def test_node_bound_overflow_reads_inf():
+    # growth (1, 1) on nodes up to ~1000: e^1000 is past the float range,
+    # so the growth candidate is inf and the finite lip/bounded one decides
+    op = make_operator(1, 0.999, 1.0, "affine")
+    assert op.node_sup > 710.0
+    sin = TargetFunction(np.sin, "sin", growth=(1.0, 1.0), bounded=1.0)
+    assert math.isfinite(evaluate(op, sin, 0.5 * op.x_max))
+    # growth alone: no finite bound, so no certified tail, and a named error
+    with pytest.raises(EvaluationError, match="no finite sup bound"):
+        evaluate(op, preset_function("e2"), 0.5)
 
 
 def test_moment_power_guard():
