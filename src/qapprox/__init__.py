@@ -31,7 +31,6 @@ from .operators import (
     OperatorInstance,
     TargetFunction,
     as_target,
-    auxiliary_evaluate,
     central_moment2,
     evaluate,
     make_operator,
@@ -50,12 +49,10 @@ from .analysis import (
     check_maximal_theorem,
     check_rate_theorem,
     delta_n,
-    k2_estimate,
     lipschitz_maximal,
     modulus,
     phi_n,
     second_modulus,
-    weighted_modulus,
 )
 from .statconv import (
     ScheduleSpec,

@@ -2,10 +2,9 @@
 operator's rate-of-approximation bounds.
 
 Everything here is a documented-resolution grid supremum: moduli of
-continuity (plain, weighted, second order), pointwise Hölder maximal
-quotients, the operator quantities delta_n and phi_n (sup of the second
-central moment, with and without the squared first-moment bias), a
-K-functional upper estimate via Gaussian mollification, and checkers that
+continuity (first and second order), pointwise Hölder maximal quotients,
+the operator quantities delta_n and phi_n (sup of the second central
+moment, with and without the squared first-moment bias), and checkers that
 compare |operator(f) - f| pointwise against the theoretical right-hand
 sides, emitting a per-point BoundReport.
 """
@@ -34,12 +33,10 @@ __all__ = [
     "BoundReport",
     "SupPair",
     "modulus",
-    "weighted_modulus",
     "second_modulus",
     "lipschitz_maximal",
     "delta_n",
     "phi_n",
-    "k2_estimate",
     "check_rate_theorem",
     "check_lipschitz_theorem",
     "check_maximal_theorem",
@@ -129,28 +126,6 @@ def modulus(f, delta: float, grid: GridSpec) -> float:
     return best
 
 
-def weighted_modulus(f, delta: float, lam: float, grid: GridSpec) -> float:
-    """Like modulus but each difference is damped by 1 + x^(2+lam).
-
-    The sup runs over ordered pairs, so the denominator is taken at the
-    smaller abscissa (where it is smallest).
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    xs = grid.xs()
-    vals = _sample(f, xs)
-    wts = 1.0 + xs ** (2.0 + lam)
-    d_max = min(grid.points - 1, int(math.floor(delta / grid.step + 1e-9)))
-    best = 0.0
-    for d in range(1, d_max + 1):
-        quot = np.abs(vals[d:] - vals[:-d]) / wts[:-d]
-        if quot.size:
-            best = max(best, float(quot.max()))
-    return best
-
-
 def second_modulus(f, delta: float, grid: GridSpec) -> float:
     """sup over x in grid, h in (0, delta] of |f(x+2h) - 2f(x+h) + f(x)|.
 
@@ -231,41 +206,6 @@ def phi_n(op: OperatorInstance, grid: GridSpec) -> SupPair:
         fns.A1 * fns.Dq2A1 + fns.DqA1**2
     ) / fns.A1**2 * s * s
     return SupPair(max(val, 0.0), printed)
-
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
-_K2_BANDWIDTHS = 16
-
-
-def k2_estimate(f, delta: float, grid: GridSpec) -> float:
-    """Upper estimate of inf_g [||f - g|| + delta ||g''||] over smooth g.
-
-    Candidates are Gaussian mollifications of f at 16 log-spaced bandwidths;
-    the norm is the grid sup and g'' uses central second differences.  Below
-    zero the function is extended oddly about (0, f(0)), which keeps affine
-    functions fixed.
-    """
-    f = as_target(f)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    xs = grid.xs()
-    step = grid.step
-    fvals = _sample(f, xs)
-    f0 = f(0.0)
-    root2 = math.sqrt(2.0)
-    norm = math.sqrt(math.pi)
-    best = math.inf
-    for h in np.geomspace(delta / 32.0, 4.0 * delta, _K2_BANDWIDTHS):
-        s = xs[:, None] + root2 * h * _GH_NODES
-        v = f(np.abs(s))
-        g = np.where(s >= 0.0, v, 2.0 * f0 - v) @ _GH_WEIGHTS / norm
-        err = float(np.max(np.abs(fvals - g)))
-        if g.size >= 3:
-            bend = float(np.max(np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]))) / step**2
-        else:
-            bend = 0.0
-        best = min(best, err + delta * bend)
-    return best
 
 
 def _class_membership(f: TargetFunction) -> None:

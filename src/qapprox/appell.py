@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qcore as _qcore
 from .errors import TruncationCapError
 from .qcore import (
     DEFAULT_TOL,
-    SERIES_CAP,
     Eq_exp,
     as_qvalue,
     eq_exp,
@@ -150,6 +150,7 @@ def _q_table(q: float) -> _QTable:
 
 
 _FIRST_WINDOW = 64
+_K_MIN = 16  # the cut K is never below this index
 
 
 def scaled_weights(
@@ -158,8 +159,6 @@ def scaled_weights(
     q,
     bound: float = 1.0,
     tol: float = DEFAULT_TOL,
-    k_min: int = 16,
-    k_max: int = SERIES_CAP,
 ) -> tuple:
     """Weights c_0(y)..c_K(y) divided by the largest term, as (c, kq, shift).
 
@@ -170,12 +169,12 @@ def scaled_weights(
     Higham, Accuracy and Stability of Numerical Algorithms, ch. 4);
     c = convolve(t/t_m, coeffs).
 
-    K is the first index >= k_min whose geometric tail bound
+    K is the first index >= 16 whose geometric tail bound
     c_K * rho/(1-rho) * bound, rho = max(y/[K+1-deg]_q, SAFETY), is at most
     tol * sum_{k<=K} c_k; so for any |h_k| <= bound, c @ h misses at most
     that much of the full series.  Windows of 64, 128, ... terms up to
-    k_max + 1 are tried in turn, from the first that reaches past the
-    largest term.
+    SERIES_CAP + 1, read at call time, are tried in turn, from the first
+    that reaches past the largest term.
     """
     if y < 0.0:
         raise ValueError("y must be nonnegative")
@@ -186,6 +185,7 @@ def scaled_weights(
     coeffs = np.array(family.coeffs)
     deg = family.degree
     log_y = math.log(y) if y > 0.0 else -math.inf
+    k_max = _qcore.SERIES_CAP
     width = _FIRST_WINDOW
     # while [width-deg]_q, the window's last lag, is <= y, rho >= 1 all
     # through the window and it cannot hold the cut
@@ -201,7 +201,7 @@ def scaled_weights(
         log_t[:m] = -np.cumsum(log_ratio[:m][::-1])[::-1]
         c = np.convolve(np.exp(log_t), coeffs)[:width]
         total = np.cumsum(c)
-        lo = max(k_min, deg)
+        lo = max(_K_MIN, deg)
         rho = np.maximum(y / kq[lo + 1 - deg : width + 1 - deg], SAFETY)
         skip = int(np.count_nonzero(rho >= 1.0))  # rho falls with k
         rho, lo = rho[skip:], lo + skip

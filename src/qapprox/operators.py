@@ -51,7 +51,6 @@ __all__ = [
     "SeriesMoments",
     "central_moment2",
     "shift_term",
-    "auxiliary_evaluate",
 ]
 
 _AUDIT_HI = 10.0
@@ -361,9 +360,3 @@ def shift_term(op: OperatorInstance, x):
     fns = op.functionals
     return (fns.DqA1 / fns.A1) * _damping(op, op.y(x)) * op.scale
 
-
-def auxiliary_evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Bias-compensated variant; reproduces linear functions exactly."""
-    f = as_target(f)
-    s = shift_term(op, x)
-    return evaluate(op, f, x, tol) - float(f(x + s)) + float(f(x))

@@ -8,14 +8,17 @@ form of something the library computes another way.
 - `natural_density` and `st_limit_verify`: direct counts over k <= N, which
   `ScheduleSpec.exceptional_count` and `max_dev` replace in closed form.
 - `q_factorial`: [n]_q! as a plain product of q-integers.
+- `auxiliary_evaluate`: the bias-compensated operator
+  L f(x) - f(x + s_n(x)) + f(x), which reproduces linear functions exactly;
+  acceptance criterion 04 checks `evaluate` and `shift_term` through it.
 """
 
 import math
 
 import mpmath
 
-from qapprox.operators import as_target
-from qapprox.qcore import q_integer
+from qapprox.operators import as_target, evaluate, shift_term
+from qapprox.qcore import DEFAULT_TOL, q_integer
 
 _DPS = 30
 _TAIL = mpmath.mpf(10) ** -25
@@ -65,3 +68,9 @@ def st_limit_verify(seq, L: float, eps: float, N: int) -> float:
 def q_factorial(n: int, q) -> float:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     return math.prod(q_integer(j, q) for j in range(1, n + 1))
+
+
+def auxiliary_evaluate(op, f, x: float, tol: float = DEFAULT_TOL) -> float:
+    """L f(x) - f(x + s_n(x)) + f(x), with s_n the first-moment bias."""
+    f = as_target(f)
+    return evaluate(op, f, x, tol) - float(f(x + shift_term(op, x))) + float(f(x))

@@ -25,7 +25,6 @@ from qapprox.cli import main as cli_main
 from qapprox.operators import (
     TargetFunction,
     as_target,
-    auxiliary_evaluate,
     central_moment2,
     evaluate,
     make_operator,
@@ -37,7 +36,7 @@ from qapprox.operators import (
 )
 from qapprox.statconv import ScheduleSpec, is_perfect_square, korovkin_table
 
-from oracles import classical_szasz, natural_density, st_limit_verify
+from oracles import auxiliary_evaluate, classical_szasz, natural_density, st_limit_verify
 
 QS = (0.5, 0.8, 0.95)
 NS = (5, 10, 20, 40)

@@ -14,12 +14,10 @@ from qapprox.analysis import (
     check_maximal_theorem,
     check_rate_theorem,
     delta_n,
-    k2_estimate,
     lipschitz_maximal,
     modulus,
     phi_n,
     second_modulus,
-    weighted_modulus,
 )
 from qapprox.errors import DomainError
 from qapprox.appell import scaled_weights
@@ -83,16 +81,6 @@ def test_modulus_below_step_is_zero():
     assert modulus(preset_function("sin"), 0.01, grid) == 0.0
 
 
-def test_weighted_modulus_below_plain():
-    grid = GridSpec(0.0, 2.0, 2001)
-    fsin = preset_function("sin")
-    assert weighted_modulus(fsin, 0.1, 0.0, grid) <= modulus(fsin, 0.1, grid) + 1e-15
-    # heavier weight shrinks it further
-    assert weighted_modulus(fsin, 0.1, 2.0, grid) <= weighted_modulus(
-        fsin, 0.1, 0.0, grid
-    ) + 1e-15
-
-
 def test_second_modulus_vanishes_for_affine():
     aff = as_target(lambda t: 2.0 * t + 1.0)
     assert second_modulus(aff, 0.3, GridSpec(0.0, 2.0, 81)) <= 1e-12
@@ -129,8 +117,7 @@ def test_second_modulus_memory_bounded():
 
 def test_grid_measures_match_scalar_loops():
     # the old per-point loops as references; numpy's array pow and sin may
-    # round differently from the scalar ones, and k2_estimate's quadrature
-    # sums in another order, hence the few-ulp tolerance
+    # round differently from the scalar ones, hence the few-ulp tolerance
     grid = GridSpec(0.0, 2.0, 41)
     xs = [float(x) for x in grid.xs()]
     for f in (preset_function("sin"), preset_function("abspow:0.7:1")):
@@ -140,18 +127,6 @@ def test_grid_measures_match_scalar_loops():
         assert second_modulus(f, 0.3, grid) == pytest.approx(w2, rel=1e-14)
         lm = [max(abs(fs(t) - fs(x)) / abs(t - x) ** 0.7 for t in xs if t != x) for x in xs]
         assert lipschitz_maximal(f, 0.7, grid) == pytest.approx(lm, rel=1e-14)
-
-        def ext(s):
-            return fs(s) if s >= 0.0 else 2.0 * fs(0.0) - fs(-s)
-
-        best = math.inf
-        gh = list(zip(*np.polynomial.hermite.hermgauss(32)))
-        for h in np.geomspace(0.01 / 32.0, 0.04, 16):
-            g = [sum(w * ext(x + math.sqrt(2.0) * h * u) for u, w in gh) / math.sqrt(math.pi) for x in xs]
-            err = max(abs(fs(x) - gx) for x, gx in zip(xs, g))
-            bend = max(abs(g[i + 1] - 2 * g[i] + g[i - 1]) for i in range(1, len(g) - 1)) / grid.step**2
-            best = min(best, err + 0.01 * bend)
-        assert k2_estimate(f, 0.01, grid) == pytest.approx(best, rel=1e-14)
 
 
 def _lipschitz_maximal_rows(f, alpha, grid):
@@ -246,20 +221,6 @@ def test_delta_n_decreases_along_smooth_schedule():
         rel=1e-12,
     )
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_k2_estimate_affine_near_zero():
-    aff = as_target(lambda t: 2.0 * t + 1.0)
-    assert k2_estimate(aff, 1e-2, GridSpec(0.0, 2.0, 81)) <= 1e-8
-
-
-def test_k2_estimate_tracks_second_modulus():
-    fsin = preset_function("sin")
-    grid = GridSpec(0.0, 2.0, 201)
-    for d in (1e-2, 1e-3):
-        k2 = k2_estimate(fsin, d, grid)
-        w2 = second_modulus(fsin, math.sqrt(d), grid)
-        assert 0.5 <= k2 / w2 <= 2.0
 
 
 def test_checkers_reject_grid_beyond_domain():

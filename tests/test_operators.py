@@ -6,15 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qapprox.operators
+import qapprox.qcore
 from qapprox.analysis import GridSpec, delta_n, phi_n
 from qapprox.appell import FAMILIES, scaled_weights
+from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.qcore import eq_exp
 from qapprox.operators import (
     SAFETY,
     TargetFunction,
     as_target,
-    auxiliary_evaluate,
     central_moment2,
     evaluate,
     make_operator,
@@ -213,21 +214,8 @@ def test_linearity_seeded():
             assert evaluate(op, h, x) == pytest.approx(combo, rel=1e-10, abs=1e-10)
 
 
-def test_auxiliary_reproduces_linear():
-    op = make_operator(10, 0.8, 2.0, "affine")
-    e1 = preset_function("e1")
-    for x in (0.0, 0.5, 1.0, 2.0):
-        assert abs(auxiliary_evaluate(op, e1, x) - x) <= 1e-10
-    assert auxiliary_evaluate(op, e1, 0.5) == pytest.approx(
-        0.5000000000003957, rel=1e-12
-    )
-
-
-def test_auxiliary_equals_plain_for_constant_symbol():
+def test_shift_term_zero_for_constant_symbol():
     op = make_operator(10, 0.8, 2.0, "one")
-    fsin = preset_function("sin")
-    for x in (0.0, 0.5, 1.5):
-        assert auxiliary_evaluate(op, fsin, x) == evaluate(op, fsin, x)
     assert shift_term(op, 0.5) == 0.0
 
 
@@ -383,10 +371,19 @@ def test_moment_power_guard():
         moment_closed(op, -1, 0.5)
 
 
-def test_truncation_cap_surfaces():
+def test_truncation_cap_surfaces(monkeypatch, tmp_path, capsys):
+    # the kernel reads qcore.SERIES_CAP at call time: a cap above its floor of
+    # 16 terms, but below the 44 that x = 1 needs, stops it with a named error
+    monkeypatch.setattr(qapprox.qcore, "SERIES_CAP", 20)
     op = make_operator(10, 0.8, 2.0, "affine")
-    with pytest.raises(TruncationCapError):
-        scaled_weights(op.family, op.y(1.0), op.q, tol=1e-12, k_min=2, k_max=6)
+    with pytest.raises(TruncationCapError, match="within 20 terms"):
+        scaled_weights(op.family, op.y(1.0), op.q)
+    with pytest.raises(TruncationCapError, match="within 20 terms"):
+        evaluate(op, preset_function("sin"), 1.0)
+    # moments sums the kernel before log e_q, so the kernel's cap is the one named
+    assert cli_main(["moments", "--out", str(tmp_path / "m.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("truncation cap: scaled_weights(") and err.count("\n") == 1
 
 
 def test_nonfinite_target_raises():
