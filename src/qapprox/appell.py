@@ -30,7 +30,6 @@ from .qcore import (
     log_eq_exp,
     log_Eq_exp_product,
     q_derivative,
-    q_integer,
     q_integers,
 )
 
@@ -97,18 +96,12 @@ def family_functionals(family: AppellFamily, q) -> Functionals:
     u = q; Dq2A1 applies the termwise q-derivative twice, at u = 1.
     """
     qv = as_qvalue(q)
+    kq = q_integers(np.arange(family.degree + 1.0), qv.q).tolist()  # [k]_q, k = 0..deg
+    terms = list(enumerate(family.coeffs))
     a1 = sum(family.coeffs)
-    d1 = sum(a * q_integer(k, qv) for k, a in enumerate(family.coeffs))
-    dq = sum(
-        a * q_integer(k, qv) * qv.q ** (k - 1)
-        for k, a in enumerate(family.coeffs)
-        if k >= 1
-    )
-    d2 = sum(
-        a * q_integer(k, qv) * q_integer(k - 1, qv)
-        for k, a in enumerate(family.coeffs)
-        if k >= 2
-    )
+    d1 = sum(a * kq[k] for k, a in terms)
+    dq = sum(a * kq[k] * qv.q ** (k - 1) for k, a in terms if k >= 1)
+    d2 = sum(a * kq[k] * kq[k - 1] for k, a in terms if k >= 2)
     return Functionals(float(a1), float(d1), float(dq), float(d2))
 
 

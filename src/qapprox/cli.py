@@ -267,11 +267,12 @@ def _run_converge(res: dict) -> tuple:
     fam = _spec(family_from_spec, "family", res["family"])
     ns = _as_int_list(res["ns"], "ns")
     lo, hi, pts = _parse_grid(res["grid"])
-    eff = clip_grid_for(sched, ns, GridSpec(lo, 1e30 if hi is None else hi, pts))
+    ops = sched.operators(ns, fam)
+    eff = clip_grid_for(ops, GridSpec(lo, 1e30 if hi is None else hi, pts))
     if hi is None:
         # auto: pull in the extra safety margin like the other commands do
         eff = GridSpec(eff.x_lo, _AUTO_MARGIN * eff.x_hi, pts)
-    table = korovkin_table(sched, fam, ns, eff)
+    table = korovkin_table(ops, eff)
 
     cfg = {
         "schedule": sched.kind,

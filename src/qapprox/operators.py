@@ -273,27 +273,24 @@ def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> flo
     return value
 
 
-def _damping(op: OperatorInstance, y: float) -> float:
+def _damping(q, y):
     """R(qy) = e_q(qy)/e_q(y) = 1 - (1-q) y, exact because D_q e_q = e_q;
     R(q^2 y) = R(qy) (1 - (1-q) q y)."""
-    return 1.0 - (1.0 - op.q.q) * y
+    return 1.0 - (1.0 - q) * y
 
 
-def moment_closed(op: OperatorInstance, i: int, x):
-    """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form.
-    x is a float or an array (elementwise; i = 0 gives 1.0, which broadcasts)."""
-    _check_x(op, x)
+def _closed_moment(i: int, x, q, s, fns: Functionals):
+    """Monomial moment i in {0, 1, 2} at x for parameter q, scale s and
+    functionals fns, elementwise over any broadcast of x, q, s and the
+    fields of fns (order 0 is 1.0, which broadcasts)."""
     if i == 0:
         return 1.0
-    q = op.q.q
-    y = op.y(x)
-    fns = op.functionals
-    s = op.scale
-    r_qy = _damping(op, y)
+    y = x / s
+    r_qy = _damping(q, y)
     if i == 1:
         return x + (fns.DqA1 / fns.A1) * r_qy * s
     if i == 2:
-        r_q2y = r_qy * _damping(op, q * y)
+        r_q2y = r_qy * _damping(q, q * y)
         return (
             q * x * x
             + x * s
@@ -301,6 +298,13 @@ def moment_closed(op: OperatorInstance, i: int, x):
             + s * r_qy * (fns.DqA1 / fns.A1) * (q * (q + 1.0) * x + s)
         )
     raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
+
+
+def moment_closed(op: OperatorInstance, i: int, x):
+    """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form.
+    x is a float or an array (elementwise; i = 0 gives 1.0, which broadcasts)."""
+    _check_x(op, x)
+    return _closed_moment(i, x, op.q.q, op.scale, op.functionals)
 
 
 def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
@@ -317,7 +321,7 @@ def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
         q = op.q.q
         fns = op.functionals
         s = op.scale
-        r_qy = _damping(op, op.y(x))
+        r_qy = _damping(q, op.y(x))
         return (
             x * x
             + x * s * r_qy * (q * fns.DqAq + fns.DqA1) / fns.A1
@@ -358,5 +362,5 @@ def shift_term(op: OperatorInstance, x):
     """s_n(x) = moment_closed(1, x) - x, the first-moment bias; x a float or an array."""
     _check_x(op, x)
     fns = op.functionals
-    return (fns.DqA1 / fns.A1) * _damping(op, op.y(x)) * op.scale
+    return (fns.DqA1 / fns.A1) * _damping(op.q.q, op.y(x)) * op.scale
 

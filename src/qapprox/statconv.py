@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GridSpec
-from .appell import AppellFamily
+from .appell import Functionals
 from .errors import DomainError
-from .operators import make_operator, moment_closed
-from .qcore import q_integer
+from .operators import _check_x, _closed_moment, make_operator
 
 __all__ = [
     "is_perfect_square",
@@ -57,6 +56,16 @@ class ScheduleSpec:
         if n < 1:
             raise ValueError(f"index must be >= 1, got {n}")
         return n**0.25
+
+    def operators(self, ns, family) -> list:
+        """One operator of the family per index in ns, at q_n and b_n."""
+        ops = []
+        for n in ns:
+            try:
+                ops.append(make_operator(n, self.q_at(n), self.b_at(n), family))
+            except DomainError as exc:  # q_n outside (0, 1), as q_1 = 0 when smooth
+                raise DomainError(f"n={n} on the {self.kind} schedule: {exc}") from exc
+        return ops
 
     # Off the squares the float deviation |q_at(k) - 1| = |(1 - k^-1/2) - 1|
     # is nonincreasing in k (k^-1/2 falls by over an ulp per step for
@@ -99,13 +108,9 @@ class ScheduleSpec:
         return max(abs(self.q_at(k) - 1.0) for k in ks)
 
 
-def clip_grid_for(schedule: ScheduleSpec, ns, grid: GridSpec) -> GridSpec:
-    """Shrink the grid so every instance along ns can evaluate on it."""
-    hi = grid.x_hi
-    for n in ns:
-        # x_max does not depend on the symbol
-        op = make_operator(n, schedule.q_at(n), schedule.b_at(n), "one")
-        hi = min(hi, op.x_max)
+def clip_grid_for(ops, grid: GridSpec) -> GridSpec:
+    """Shrink the grid so every operator in ops can evaluate on it."""
+    hi = min(grid.x_hi, *(op.x_max for op in ops))
     if hi <= grid.x_lo:
         raise DomainError(
             f"guarded domain [0, {hi}] leaves no room above x_lo={grid.x_lo}"
@@ -115,30 +120,33 @@ def clip_grid_for(schedule: ScheduleSpec, ns, grid: GridSpec) -> GridSpec:
     return GridSpec(grid.x_lo, hi, grid.points)
 
 
-def korovkin_table(
-    schedule: ScheduleSpec,
-    family: AppellFamily,
-    ns,
-    grid: GridSpec,
-) -> list:
+def korovkin_table(ops, grid: GridSpec) -> list:
     """Rows (n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) for CSV emission.
 
     err_v is the weighted error max |moment_v(x) - x^v| / (1 + x^2) of the
-    v-th monomial moment on the grid, which must lie inside every operator's
-    domain along ns (clip_grid_for makes one that does); moment_closed
-    raises DomainError otherwise.
+    v-th monomial moment on the grid, which must lie inside every
+    operator's domain (clip_grid_for makes one that does); DomainError
+    names the operator with the smallest x_max otherwise.  Each moment is
+    one closed-form expression over per-operator columns against the grid
+    row, so the table costs three array expressions whatever len(ops) is.
     """
-    grid_xs = grid.xs()
-    weights = 1.0 + grid_xs**2
-    xs = [float(x) for x in grid_xs]
-    rows = []
-    for n in ns:
-        q = schedule.q_at(n)
-        bn = schedule.b_at(n)
-        op = make_operator(n, q, bn, family)
-        errs = [
-            float(np.max(np.abs([moment_closed(op, v, x) - x**v for x in xs]) / weights))
+    x = grid.xs()
+    _check_x(min(ops, key=lambda op: op.x_max), x)
+    col = lambda vals: np.array(vals, dtype=float)[:, None]
+    q = col([op.q.q for op in ops])
+    s = col([op.scale for op in ops])
+    fns = Functionals(*(col(f) for f in zip(*(op.functionals for op in ops))))
+    weights = 1.0 + x**2
+    shape = (len(ops), len(x))
+    # float_power is libm's pow, as a float's x**v is; numpy's x**2 is x*x,
+    # which differs from it in the last bit at about 1 point in 1000
+    errs = np.stack(
+        [
+            np.broadcast_to(
+                np.abs(_closed_moment(v, x, q, s, fns) - np.float_power(x, v)) / weights, shape
+            ).max(axis=1)
             for v in (0, 1, 2)
-        ]
-        rows.append((n, q, bn, bn / q_integer(n, q), *errs))
-    return rows
+        ],
+        axis=1,
+    )
+    return [(op.n, op.q.q, op.bn, op.scale, *e) for op, e in zip(ops, errs.tolist())]

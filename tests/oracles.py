@@ -11,14 +11,22 @@ form of something the library computes another way.
 - `auxiliary_evaluate`: the bias-compensated operator
   L f(x) - f(x + s_n(x)) + f(x), which reproduces linear functions exactly;
   acceptance criterion 04 checks `evaluate` and `shift_term` through it.
+- `closed_moment_scalar` and `korovkin_rows`: the closed-form moments as
+  scalar float arithmetic in a fixed operation order, and the Korovkin
+  table from one such call per (n, v, x); `moment_closed` and
+  `statconv.korovkin_table` must equal them bit for bit.
+- `functional_sums`: `family_functionals` as generator sums of one
+  `q_integer` call per term.
 """
 
 import math
 
+import numpy as np
 import mpmath
 
-from qapprox.operators import as_target, evaluate, shift_term
-from qapprox.qcore import DEFAULT_TOL, q_integer
+from qapprox.appell import Functionals
+from qapprox.operators import as_target, evaluate, make_operator, shift_term
+from qapprox.qcore import DEFAULT_TOL, as_qvalue, q_integer
 
 _DPS = 30
 _TAIL = mpmath.mpf(10) ** -25
@@ -74,3 +82,51 @@ def auxiliary_evaluate(op, f, x: float, tol: float = DEFAULT_TOL) -> float:
     """L f(x) - f(x + s_n(x)) + f(x), with s_n the first-moment bias."""
     f = as_target(f)
     return evaluate(op, f, x, tol) - float(f(x + shift_term(op, x))) + float(f(x))
+
+
+def closed_moment_scalar(op, i: int, x: float) -> float:
+    """Monomial moment i at a float x in the operation order of the moment
+    closed forms; see operators._damping for the two damping factors."""
+    if i == 0:
+        return 1.0
+    q, s, fns = op.q.q, op.scale, op.functionals
+    y = x / s
+    r_qy = 1.0 - (1.0 - q) * y
+    if i == 1:
+        return x + (fns.DqA1 / fns.A1) * r_qy * s
+    r_q2y = r_qy * (1.0 - (1.0 - q) * (q * y))
+    return (
+        q * x * x
+        + x * s
+        + s * s * q * r_q2y * fns.Dq2A1 / fns.A1
+        + s * r_qy * (fns.DqA1 / fns.A1) * (q * (q + 1.0) * x + s)
+    )
+
+
+def korovkin_rows(schedule, family, ns, grid) -> list:
+    """(n, q_n, b_n, b_n/[n]_q, err_v0, err_v1, err_v2) by a per-point loop."""
+    grid_xs = grid.xs()
+    weights = 1.0 + grid_xs**2
+    xs = [float(x) for x in grid_xs]
+    rows = []
+    for n in ns:
+        q = schedule.q_at(n)
+        bn = schedule.b_at(n)
+        op = make_operator(n, q, bn, family)
+        errs = [
+            float(np.max(np.abs([closed_moment_scalar(op, v, x) - x**v for x in xs]) / weights))
+            for v in (0, 1, 2)
+        ]
+        rows.append((n, q, bn, bn / q_integer(n, q), *errs))
+    return rows
+
+
+def functional_sums(family, q) -> Functionals:
+    """A(1), D_qA(1), D_qA(q) and D_q^2 A(1), one q_integer call per term."""
+    qv = as_qvalue(q)
+    terms = list(enumerate(family.coeffs))
+    a1 = sum(family.coeffs)
+    d1 = sum(a * q_integer(k, qv) for k, a in terms)
+    dq = sum(a * q_integer(k, qv) * qv.q ** (k - 1) for k, a in terms if k >= 1)
+    d2 = sum(a * q_integer(k, qv) * q_integer(k - 1, qv) for k, a in terms if k >= 2)
+    return Functionals(float(a1), float(d1), float(dq), float(d2))

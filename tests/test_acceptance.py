@@ -185,9 +185,7 @@ def test_criterion_05_classical_limit_trend():
 
 def test_criterion_06_korovkin_convergence():
     rows = korovkin_table(
-        ScheduleSpec("smooth"),
-        family_by_name("affine"),
-        (16, 64, 256, 1024),
+        ScheduleSpec("smooth").operators((16, 64, 256, 1024), family_by_name("affine")),
         GridSpec(0.0, 1.0, 101),
     )
     ratio = [r[3] for r in rows]

@@ -18,7 +18,7 @@ from qapprox.appell import (
 from qapprox.errors import TruncationCapError
 from qapprox.qcore import as_qvalue, q_integer
 
-from oracles import q_factorial
+from oracles import functional_sums, q_factorial
 
 
 def test_builtin_families():
@@ -127,6 +127,14 @@ def test_functionals_hand_values():
     assert quad.DqA1 == pytest.approx(1.75, rel=1e-15)
     assert quad.DqAq == pytest.approx(1.375, rel=1e-15)
     assert quad.Dq2A1 == pytest.approx(0.75, rel=1e-15)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9, 0.99, 0.999))
+@pytest.mark.parametrize("spec", ("one", "affine", "quad", "1,0.3,0.2,0.1"))
+def test_functionals_equal_per_term_sums(spec, q):
+    # one q_integers call for [0]_q..[deg]_q gives the per-term sums' bits
+    fam = family_from_spec(spec)
+    assert family_functionals(fam, q) == functional_sums(fam, q)
 
 
 def test_moment_sum_against_dense_partial_sums():

@@ -463,10 +463,10 @@ def test_out_dash_writes_stdout(monkeypatch, tmp_path, capsys):
 
 
 def test_converge_builds_each_operator_once(monkeypatch, tmp_path):
-    # clip_grid_for builds one "one" operator per n to find the common
-    # domain, and korovkin_table one operator of the family per n
+    # the schedule builds one operator of the family per n; the clipped grid
+    # and the table both read those
     calls = []
-    make = qapprox.statconv.make_operator
+    make = qapprox.operators.make_operator
 
     def counted(*args):
         calls.append(args)
@@ -476,7 +476,50 @@ def test_converge_builds_each_operator_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "make_operator", counted)
     argv = ["converge", "--ns", "16,64,256,1024", "--out", str(tmp_path / "c.csv")]
     assert run(argv) == 0
-    assert len(calls) == 8
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "ns, grid, schedule",
+    [
+        ("16,64,256,1024", "0:1:101", "smooth"),
+        ("16,64", "0:1:11", "smooth"),
+        ("2,3,4,5,6,7,8,9", "0:auto:1001", "spiky"),
+    ],
+)
+def test_converge_evaluates_each_moment_once(ns, grid, schedule, monkeypatch, tmp_path):
+    # one closed-form expression per moment order over all (n, x), however
+    # many operators and points the table has
+    orders = []
+    closed = qapprox.statconv._closed_moment
+
+    def counted(i, *args):
+        orders.append(i)
+        return closed(i, *args)
+
+    monkeypatch.setattr(qapprox.statconv, "_closed_moment", counted)
+    argv = ["converge", "--ns", ns, "--grid", grid, "--schedule", schedule]
+    assert run([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+    assert orders == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "ns, schedule, text",
+    [
+        ("1,2", "smooth", "n=1 on the smooth schedule: q must satisfy 0 < q < 1, got 0.0"),
+        ("4,2,1", "smooth", "n=1 on the smooth schedule: q must satisfy 0 < q < 1, got 0.0"),
+        # 1 - n^-1/2 rounds to 1 far out, where no square rescues it
+        ("2,%d" % (10**40 + 1), "spiky",
+         "n=%d on the spiky schedule: q must satisfy 0 < q < 1, got 1.0" % (10**40 + 1)),
+    ],
+)
+def test_converge_names_the_index_whose_q_is_out_of_range(ns, schedule, text, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--ns", ns, "--schedule", schedule, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"domain error: {text}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_local_reports_k_hat(tmp_path, capsys):

@@ -27,7 +27,7 @@ from qapprox.operators import (
 )
 from qapprox.statconv import ScheduleSpec, korovkin_table
 
-from oracles import classical_szasz
+from oracles import classical_szasz, closed_moment_scalar
 
 
 def test_tol_validation():
@@ -134,6 +134,19 @@ def test_moment_closed_vs_series_smoke():
         assert moment_closed(op, i, 0.5) == pytest.approx(
             moment_series(op, 0.5)[i], rel=1e-9
         )
+
+
+@pytest.mark.parametrize("family", ("one", "affine", "quad", "1,0.3,0.2,0.1"))
+def test_moment_closed_equals_scalar_form(family):
+    # the `moments` closed column: the array helper, called on one float or on
+    # a grid, keeps the scalar formula's operation order bit for bit
+    for n, q in ((10, 0.8), (100, 0.95), (1000, 0.999)):
+        op = make_operator(n, q, math.sqrt(n), family)
+        xs = np.linspace(0.0, op.x_max, 41)
+        for i in (0, 1, 2):
+            want = [closed_moment_scalar(op, i, x) for x in xs.tolist()]
+            assert [moment_closed(op, i, x) for x in xs.tolist()] == want
+            assert np.all(np.broadcast_to(moment_closed(op, i, xs), xs.shape) == want)
 
 
 def test_moment_series_matches_per_order_cut():
@@ -254,7 +267,8 @@ def test_closed_forms_sum_no_series(monkeypatch):
     grid = GridSpec(0.0, op.x_max, 11)
     assert math.isfinite(delta_n(op, grid).value)
     assert math.isfinite(phi_n(op, grid).value)
-    rows = korovkin_table(ScheduleSpec("smooth"), op.family, (16, 64), GridSpec(0.0, 1.0, 11))
+    ops = ScheduleSpec("smooth").operators((16, 64), op.family)
+    rows = korovkin_table(ops, GridSpec(0.0, 1.0, 11))
     assert len(rows) == 2
 
 

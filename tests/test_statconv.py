@@ -3,16 +3,20 @@ import io
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapprox.analysis import GridSpec
 from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError
 from qapprox.statconv import ScheduleSpec, clip_grid_for, is_perfect_square, korovkin_table
-from qapprox.appell import family_by_name
+from qapprox.appell import family_from_spec
 
-from oracles import natural_density, st_limit_verify
+from oracles import korovkin_rows, natural_density, st_limit_verify
+
+FAMILY_SPECS = ("one", "affine", "quad", "1,0.3,0.2,0.1")
+# spiky squares 4, 9, 16, 64, 100 among off-square indices, up to n = 10^6
+KOROVKIN_NS = (2, 4, 9, 16, 17, 64, 100, 1000, 4015, 10**6)
 
 
 def test_is_perfect_square():
@@ -144,33 +148,89 @@ def test_statdemo_spiky_first_indices(N, sup_dev):
     assert _cli_statdemo_row("spiky", 0.6, N) == _brute_statdemo_row(sched, 0.6, N)
 
 
+def _ops(kind, ns, family="affine"):
+    return ScheduleSpec(kind).operators(ns, family_from_spec(family))
+
+
 def test_clip_grid_noop_when_inside():
-    sched = ScheduleSpec("smooth")
     grid = GridSpec(0.0, 1.0, 101)
-    assert clip_grid_for(sched, (16, 64, 256, 1024), grid) is grid
+    assert clip_grid_for(_ops("smooth", (16, 64, 256, 1024)), grid) is grid
 
 
 def test_clip_grid_shrinks_wide_grid():
-    sched = ScheduleSpec("smooth")
     grid = GridSpec(0.0, 5.0, 101)
-    eff = clip_grid_for(sched, (16, 64, 256, 1024), grid)
+    eff = clip_grid_for(_ops("smooth", (16, 64, 256, 1024)), grid)
     assert eff.x_hi < 5.0
     assert eff.x_lo == 0.0
     assert eff.points == 101
 
 
 def test_clip_grid_raises_when_nothing_left():
-    sched = ScheduleSpec("smooth")
     grid = GridSpec(3.0, 5.0, 11)
     with pytest.raises(DomainError):
-        clip_grid_for(sched, (16,), grid)
+        clip_grid_for(_ops("smooth", (16,)), grid)
+
+
+def test_clip_grid_does_not_depend_on_the_symbol():
+    # x_max = SAFETY b_n / ([n]_q (1 - q)) has no symbol in it
+    grid = GridSpec(0.0, 5.0, 101)
+    ns = (16, 64, 256, 1024)
+    his = {clip_grid_for(_ops("smooth", ns, fam), grid).x_hi for fam in FAMILY_SPECS}
+    assert len(his) == 1
+
+
+def _korovkin_grids(ops):
+    """0:1:11, 0:1:101, 0:5:101 clipped, 0:auto:101 as converge makes it, and
+    three off-round grids, clipped, where the last bit of x^2 (0.486:0.959:47)
+    or of a reordered moment term reaches a printed maximum."""
+    top = clip_grid_for(ops, GridSpec(0.0, 1e30, 101)).x_hi
+    odd = [GridSpec(0.29, 2.86, 42), GridSpec(0.486, 0.959, 47), GridSpec(0.151, 1.853, 44)]
+    return [
+        GridSpec(0.0, 1.0, 11),
+        GridSpec(0.0, 1.0, 101),
+        clip_grid_for(ops, GridSpec(0.0, 5.0, 101)),
+        GridSpec(0.0, 0.95 * top, 101),
+        *(clip_grid_for(ops, grid) for grid in odd),
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILY_SPECS)
+@pytest.mark.parametrize("kind", ("smooth", "spiky"))
+def test_korovkin_table_equals_per_point_loop(kind, family):
+    ops = _ops(kind, KOROVKIN_NS, family)
+    for grid in _korovkin_grids(ops):
+        got = korovkin_table(ops, grid)
+        want = korovkin_rows(ScheduleSpec(kind), family_from_spec(family), KOROVKIN_NS, grid)
+        assert got == want, (kind, family, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("smooth", "spiky")),
+    st.sampled_from(FAMILY_SPECS),
+    st.lists(st.integers(min_value=2, max_value=5000), min_size=1, max_size=6),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.integers(min_value=2, max_value=60),
+)
+def test_korovkin_table_equals_per_point_loop_on_any_grid(kind, family, ns, lo, width, points):
+    ops = _ops(kind, ns, family)
+    grid = clip_grid_for(ops, GridSpec(lo, lo + width, points))
+    want = korovkin_rows(ScheduleSpec(kind), family_from_spec(family), ns, grid)
+    assert korovkin_table(ops, grid) == want
+
+
+def test_korovkin_table_names_the_narrowest_operator():
+    ops = _ops("smooth", (1024, 16, 64))  # n = 16 has the smallest x_max
+    with pytest.raises(DomainError) as exc:
+        korovkin_table(ops, GridSpec(0.0, 2.0, 11))
+    text = str(exc.value)
+    assert "\n" not in text
+    assert "for n=16," in text and "n=64" not in text and "n=1024" not in text
 
 
 def test_korovkin_table_smooth_frozen():
-    rows = korovkin_table(
-        ScheduleSpec("smooth"), family_by_name("affine"), (16, 64, 256, 1024),
-        GridSpec(0.0, 1.0, 101),
-    )
+    rows = korovkin_table(_ops("smooth", (16, 64, 256, 1024)), GridSpec(0.0, 1.0, 101))
     ns = [r[0] for r in rows]
     assert ns == [16, 64, 256, 1024]
     ratio = [r[3] for r in rows]
@@ -187,10 +247,7 @@ def test_korovkin_table_smooth_frozen():
 
 
 def test_korovkin_spiky_diverges_on_squares():
-    rows = korovkin_table(
-        ScheduleSpec("spiky"), family_by_name("affine"), (16, 64, 256, 1024),
-        GridSpec(0.0, 1.0, 101),
-    )
+    rows = korovkin_table(_ops("spiky", (16, 64, 256, 1024)), GridSpec(0.0, 1.0, 101))
     v2 = [r[6] for r in rows]
     assert v2[-1] >= v2[0]
     assert v2[-1] - v2[0] >= 0.4
