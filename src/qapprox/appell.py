@@ -13,6 +13,7 @@ generating-function identities.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import namedtuple
@@ -114,7 +115,7 @@ SAFETY = 0.95
 
 
 class _QTable:
-    """[k]_q and log [k]_q for k < len, for one q, grown on demand.
+    """[k]_q, log [k]_q and log [k]_q! for k < len, for one q, grown on demand.
 
     Entries come from `q_integers`, which is elementwise in k, so the table
     is the same whichever call grew it and results never depend on the
@@ -123,105 +124,139 @@ class _QTable:
 
     def __init__(self, q: float) -> None:
         self.q = q
-        self.kq = self.log_kq = np.zeros(0)
+        self.kq = self.log_kq = self.log_fact = np.zeros(0)
 
     def upto(self, m: int) -> tuple:
         if len(self.kq) < m:
             kq = q_integers(np.arange(max(m, 2 * len(self.kq)), dtype=float), self.q)
             with np.errstate(divide="ignore"):  # log [0]_q = -inf is never read
                 log_kq = np.log(kq)
-            kq.flags.writeable = log_kq.flags.writeable = False
-            self.kq, self.log_kq = kq, log_kq
-        return self.kq[:m], self.log_kq[:m]
+            log_fact = np.concatenate(([0.0], np.cumsum(log_kq[1:])))
+            kq.flags.writeable = log_kq.flags.writeable = log_fact.flags.writeable = False
+            self.kq, self.log_kq, self.log_fact = kq, log_kq, log_fact
+        return self.kq[:m], self.log_kq[:m], self.log_fact[:m]
 
 
 @functools.lru_cache(maxsize=32)
 def _q_table(q: float) -> _QTable:
     """The table for q.  It is made on the first weights call for that q, so
-    code that never sums weights pays nothing; it costs 16 bytes per term."""
+    code that never sums weights pays nothing; it costs 24 bytes per term."""
     return _QTable(q)
 
 
-_FIRST_WINDOW = 64
 _K_MIN = 16  # the cut K is never below this index
 
 
-def scaled_weights(
-    family: AppellFamily,
-    y: float,
-    q,
-    bound: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
+@functools.lru_cache(maxsize=4)
+def _widths(k_max: int) -> list:  # window widths 64, 96, 128, 192, ..., and k_max + 1
+    return sorted({min(b << i, k_max + 1) for b in (64, 96) for i in range(k_max.bit_length())})
+
+
+def _first_windows(table, q: float, flat, log_y, deg: int, margin: float) -> list:
+    """Each entry's first window: the first of `_widths` whose last lag is
+    past the peak m of t_k (the last k with [k]_q < y) and along which t_k
+    falls from t_m by e^-margin, where log(t_k/t_m) = (k-m) log y -
+    log([k]_q!/[m]_q!).  A window decides only how many passes find the cut."""
+    widths, top = _widths(_qcore.SERIES_CAP), int(flat.argmax())
+    a = (1.0 - q) * float(flat[top])  # [k]_q < y exactly when q^k > 1 - a
+    m = max(math.ceil(math.log1p(-a) / math.log(q)) - 1, 0) if a < 1.0 else widths[-1]
+    i = min(bisect.bisect_right(widths, m + deg + 1), len(widths) - 1)  # the largest y's
+    while i < len(widths) - 1:
+        log_fact, k = table.upto(widths[i])[2], widths[i] - 1
+        if (k - m) * log_y[top] - (log_fact[k] - log_fact[m]) <= -margin:
+            break
+        i += 1
+    if len(flat) == 1:
+        return widths[i : i + 1]
+    widths, (kq, _, log_fact) = np.array(widths[: i + 1]), table.upto(widths[i])
+    k, m = widths - 1, np.searchsorted(kq[1:], flat)[:, None]
+    fits = (k - deg > m) & ((k - m) * log_y[:, None] - (log_fact[k] - log_fact[m]) <= -margin)
+    fits[:, -1] = True
+    return widths[fits.argmax(1)].tolist()
+
+
+def scaled_weights(family: AppellFamily, y, q, bound: float = 1.0, tol: float = DEFAULT_TOL) -> tuple:
     """Weights c_0(y)..c_K(y) divided by the largest term, as (c, kq, shift).
 
     The true weights are c * e^shift; kq holds [0]_q..[K]_q.  With
-    t_k = y^k/[k]_q! peaking at k = m, log(t_k/t_m) is a running sum of
-    log(y/[j]_q) over j between k and m, so every partial sum stays small
-    and nothing overflows however large the terms get (scaled summation,
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 4);
-    c = convolve(t/t_m, coeffs).
-
+    t_k = y^k/[k]_q!, log(t_k/t_m) is summed away from the peak m
+    (`qcore._logs_from_peak`), so nothing overflows; c = convolve(t/t_m, coeffs).
     K is the first index >= 16 whose geometric tail bound
     c_K * rho/(1-rho) * bound, rho = max(y/[K+1-deg]_q, SAFETY), is at most
     tol * sum_{k<=K} c_k; so for any |h_k| <= bound, c @ h misses at most
-    that much of the full series.  Windows of 64, 128, ... terms up to
-    SERIES_CAP + 1, read at call time, are tried in turn, from the first
-    that reaches past the largest term.
+    that much of the full series.  Windows of terms, each twice the last, up
+    to SERIES_CAP + 1 (read at call time), are tried until one holds the cut.
+
+    For an array y, c has a row per entry, zero past its own K, and shift
+    y's shape.  Entries that share a window are summed in blocks of at most
+    `qcore._BLOCK` values, each row with the adds of a call on its y alone.
     """
-    if y < 0.0:
+    ys = np.asarray(y, dtype=float)
+    flat = ys.reshape(-1)
+    if min(flat.tolist()) < 0.0:
         raise ValueError("y must be nonnegative")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     qv = as_qvalue(q)
-    table = _q_table(qv.q)
-    coeffs = np.array(family.coeffs)
-    deg = family.degree
-    log_y = math.log(y) if y > 0.0 else -math.inf
-    k_max = _qcore.SERIES_CAP
-    width = _FIRST_WINDOW
-    # while [width-deg]_q, the window's last lag, is <= y, rho >= 1 all
-    # through the window and it cannot hold the cut
-    while width <= k_max and table.upto(width + 1)[0][width - deg] <= y:
-        width *= 2
-    while True:
-        width = min(width, k_max + 1)
-        kq, log_kq = table.upto(width + 1)
-        log_ratio = log_y - log_kq[1:width]  # log(t_j/t_{j-1}), j = 1..width-1
-        m = int(np.count_nonzero(log_ratio > 0.0))  # ratios fall with j
-        log_t = np.zeros(width)
-        log_t[m + 1 :] = np.cumsum(log_ratio[m:])
-        log_t[:m] = -np.cumsum(log_ratio[:m][::-1])[::-1]
-        c = np.convolve(np.exp(log_t), coeffs)[:width]
-        total = np.cumsum(c)
-        lo = max(_K_MIN, deg)
-        rho = np.maximum(y / kq[lo + 1 - deg : width + 1 - deg], SAFETY)
-        skip = int(np.count_nonzero(rho >= 1.0))  # rho falls with k
-        rho, lo = rho[skip:], lo + skip
-        cut = c[lo:] * rho / (1.0 - rho) * bound <= tol * total[lo:]
-        if cut.any():
-            K = lo + int(np.argmax(cut))
-            return c[: K + 1], kq[: K + 1], float(np.sum(log_ratio[:m]))
-        if width > k_max:
-            raise TruncationCapError(
-                f"scaled_weights(y={y}, q={qv.q}) did not meet tol={tol} within {k_max} terms"
-            )
-        width *= 2
+    table, a, deg, k_max = _q_table(qv.q), family.coeffs, family.degree, _qcore.SERIES_CAP
+    # math.log: np.log differs from it in the last bit for a few y
+    log_y = np.array([math.log(v) if v > 0.0 else -math.inf for v in flat.tolist()])
+    lo, shift, blocks, pending = max(_K_MIN, deg), np.zeros(len(flat)), [], {}
+    # 20 bound/tol: the cut needs c_K rho/(1-rho) bound <= tol sum c, and rho >= SAFETY
+    for i, w in enumerate(_first_windows(table, qv.q, flat, log_y, deg, math.log(20.0 * bound / tol))):
+        pending.setdefault(w, []).append(i)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the bound where rho >= 1
+        while pending:
+            width = min(pending)
+            entries, (kq, log_kq, _) = pending.pop(width), table.upto(width + 1)
+            step = max(1, _qcore._BLOCK // width)
+            for rows in (np.array(entries[i : i + step]) for i in range(0, len(entries), step)):
+                log_t, shift[rows], peak = _qcore._logs_from_peak(log_y[rows, None] - log_kq[1:width])
+                t = np.exp(log_t)
+                c = a[0] * t
+                for j in range(1, deg + 1):
+                    c[:, j:] += a[j] * t[:, :-j]  # c_k = a_0 t_k + a_1 t_{k-1} + ...
+                total = np.add.accumulate(c, axis=1)
+                # rho = y/[k+1-deg]_q >= 1 up to the peak, so no row cuts before `first`
+                first = min(max(lo, peak + deg - 1), width - 1)
+                rho = np.maximum(flat[rows, None] / kq[first + 1 - deg : width + 1 - deg], SAFETY)
+                # where rho >= 1 the bound reads inf or nan, and never cuts
+                cut = c[:, first:] * rho / np.maximum(1.0 - rho, 0.0) * bound <= tol * total[:, first:]
+                K = cut.argmax(1)  # each row's cut, if it has one
+                done, K = cut[np.arange(len(rows)), K], K + first
+                if not done.all():
+                    if width > k_max:
+                        raise TruncationCapError(
+                            f"scaled_weights(y={flat[rows[~done][0]]}, q={qv.q}) did not meet "
+                            f"tol={tol} within {k_max} terms"
+                        )
+                    pending.setdefault(min(2 * width, k_max + 1), []).extend(rows[~done].tolist())
+                    rows, K, c = rows[done], K[done], c[done]
+                if rows.size:
+                    blocks.append((rows, K, c[:, : K.max() + 1]))
+    kq = table.upto(max(K.max() for _, K, _ in blocks) + 1)[0]
+    if ys.ndim == 0:
+        return blocks[0][2][0], kq, float(shift[0])
+    c = np.zeros((len(flat), len(kq)))
+    for rows, K, block in blocks:  # each row zero past its own cut
+        c[rows, : block.shape[1]] = np.where(np.arange(block.shape[1]) <= K[:, None], block, 0.0)
+    return c.reshape(ys.shape + kq.shape), kq, shift.reshape(ys.shape)
 
 
-def moment_sum(family: AppellFamily, y: float, q, power: int, tol: float = DEFAULT_TOL) -> tuple:
+def moment_sum(family: AppellFamily, y, q, power: int, tol: float = DEFAULT_TOL) -> tuple:
     """The scaled sums S_p = sum_k c_k [k]_q^p for p = 0..power, and the shift.
 
     c is `scaled_weights`'s, so the true sums are S_p * e^shift; ratios such
     as S_1/S_0 never leave the float range.  One kernel call gives every
     power: the series is cut by the geometric tail bound for the largest,
     and since [k]_q never exceeds the radius 1/(1-q), a cut that holds for
-    radius**power holds, and only tighter, for every lower power.
+    radius**power holds, and only tighter, for every lower power.  y is a
+    float or an array; the sums then have shape y.shape + (power + 1,).
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
     c, kq, shift = scaled_weights(family, y, q, as_qvalue(q).radius**power, tol)
-    return np.array([c.sum()] + [c @ kq**p for p in range(1, power + 1)]), shift
+    return np.stack([c.sum(axis=-1)] + [c @ kq**p for p in range(1, power + 1)], axis=-1), shift
 
 
 Identity = namedtuple("Identity", "name family points residual bound")
@@ -231,14 +266,13 @@ _SUM_POINTS = 20
 
 
 def _worst(residuals) -> float:
-    """The largest residual, or inf when any is not finite: max() would skip
-    a NaN and let the identity pass."""
-    worst = max(residuals)
-    return worst if all(map(math.isfinite, residuals)) else math.inf
+    """The largest residual, or inf when any is not finite (NaN must fail)."""
+    residuals = np.asarray(residuals)
+    return float(residuals.max()) if np.isfinite(residuals).all() else math.inf
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(b))
+def _rel(a, b):
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
 
 
 def identity_residuals(q, points: int = 100, tol: float = DEFAULT_TOL) -> list:
@@ -253,68 +287,49 @@ def identity_residuals(q, points: int = 100, tol: float = DEFAULT_TOL) -> list:
       against the product `log_Eq_exp_product`.
     - product_rule, product_rule_alt: the two q-Leibniz rules for
       sin(t + 0.3) (t^2 + 0.5) on [0.05, 2].
-    - deriv_eq_exp, deriv_Eq_exp: D_q e_q(at) = a e_q(at) and
-      D_q E_q(at) = a E_q(qat), a = 1/2.
+    - deriv_eq_exp, deriv_Eq_exp: D_q e_q(at) = a e_q(at) as the ratio
+      (1 - e_q(qat)/e_q(at))/((1-q)t) = a, a difference of `log_eq_exp`s that
+      stays finite where e_q overflows; and D_q E_q(at) = a E_q(qat), a = 1/2.
     - weight_sum, weight_sum_first, weight_sum_second, per built-in family
       at 20 points y: sum_k c_k(y) = A(1) e_q(y) in log form (the kernel
       against the log-series `log_eq_exp`), and the ratios
       sum_k c_k [k]_q^i / sum_k c_k, i = 1, 2, against the generating
       function's right-hand sides over A(1) e_q(y), whose e_q ratios are
-      differences of `log_eq_exp`.  One `moment_sum` call per y gives all three.
+      differences of `log_eq_exp`.  One `moment_sum` call gives all three.
     """
     qv = as_qvalue(q)
-    rows = []
-    xs = [float(x) for x in np.linspace(0.0, 0.9 * qv.radius, points)]
+    q_, a = qv.q, 0.5
+    xs = np.linspace(0.0, 0.9 * qv.radius, points)
+    sums, shift = moment_sum(family_by_name("one"), xs, qv, 0, tol)
+    products = np.array([log_Eq_exp_product(-x, qv, tol) for x in xs.tolist()])
+    rows = [("eq_times_Eq_neg", "-", np.abs(np.log(sums[:, 0]) + shift + products), 1e-10)]
 
-    one = family_by_name("one")
-    recip = []
-    for x in xs:
-        c, _, shift = scaled_weights(one, x, qv, 1.0, tol)
-        recip.append(abs(math.log(c.sum()) + shift + log_Eq_exp_product(-x, qv, tol)))
-    rows.append(Identity("eq_times_Eq_neg", "-", points, _worst(recip), 1e-10))
-
-    f = lambda t: math.sin(t + 0.3)
+    f = lambda t: np.sin(t + 0.3)
     g = lambda t: t * t + 0.5
-    fg = lambda t: f(t) * g(t)
-    rule_a, rule_b = [], []
-    for x in np.linspace(0.05, 2.0, points):
-        x = float(x)
-        lhs = q_derivative(fg, x, qv)
-        df = q_derivative(f, x, qv)
-        dg = q_derivative(g, x, qv)
-        rule_a.append(_rel(lhs, f(qv.q * x) * dg + g(x) * df))
-        rule_b.append(_rel(lhs, f(x) * dg + g(qv.q * x) * df))
-    rows.append(Identity("product_rule", "-", points, _worst(rule_a), 1e-9))
-    rows.append(Identity("product_rule_alt", "-", points, _worst(rule_b), 1e-9))
+    ts = np.linspace(0.05, 2.0, points)
+    lhs, df, dg = (q_derivative(h, ts, qv) for h in (lambda t: f(t) * g(t), f, g))
+    rows.append(("product_rule", "-", _rel(lhs, f(q_ * ts) * dg + g(ts) * df), 1e-9))
+    rows.append(("product_rule_alt", "-", _rel(lhs, f(ts) * dg + g(q_ * ts) * df), 1e-9))
 
-    a = 0.5
-    e_small = lambda t: eq_exp(a * t, qv, tol)
+    l_at, l_qat = log_eq_exp(np.outer((a, a * q_), xs), qv, tol)
+    with np.errstate(invalid="ignore"):  # 0/0 at t = 0, where the quotient degenerates
+        ratio = -np.expm1(l_qat - l_at) / ((1.0 - q_) * xs)
+    ratio[0] = q_derivative(lambda t: eq_exp(a * t, qv, tol), 0.0, qv)  # e_q(0) = 1
+    rows.append(("deriv_eq_exp", "-", _rel(ratio, a), 1e-9))
     e_large = lambda t: Eq_exp(a * t, qv, tol)
-    d_small = [_rel(q_derivative(e_small, x, qv), a * e_small(x)) for x in xs]
-    d_large = [_rel(q_derivative(e_large, x, qv), a * e_large(qv.q * x)) for x in xs]
-    rows.append(Identity("deriv_eq_exp", "-", points, _worst(d_small), 1e-9))
-    rows.append(Identity("deriv_Eq_exp", "-", points, _worst(d_large), 1e-9))
+    rows.append(("deriv_Eq_exp", "-", _rel(q_derivative(e_large, xs, qv), a * e_large(q_ * xs)), 1e-9))
 
-    ys = [float(y) for y in np.linspace(0.0, 0.9 * qv.radius, _SUM_POINTS)]
+    ys = np.linspace(0.0, 0.9 * qv.radius, _SUM_POINTS)
     # log e_q at y, qy and q^2 y, shared by every family
-    logs = [[log_eq_exp(s * y, qv, tol) for s in (1.0, qv.q, qv.q * qv.q)] for y in ys]
+    l0, l1, l2 = log_eq_exp(np.outer((1.0, q_, q_ * q_), ys), qv, tol)
+    e1, e2 = np.exp(l1 - l0), np.exp(l2 - l0)  # e_q(qy)/e_q(y), e_q(q^2 y)/e_q(y)
     for name in sorted(FAMILIES):
-        fam = family_by_name(name)
-        fns = family_functionals(fam, qv)
+        fns = family_functionals(family_by_name(name), qv)
         d1, d2 = fns.DqA1 / fns.A1, fns.Dq2A1 / fns.A1
-        r0, r1, r2 = [], [], []
-        for y, (l0, l1, l2) in zip(ys, logs):
-            (s0, s1, s2), shift = moment_sum(fam, y, qv, 2, tol)
-            e1, e2 = math.exp(l1 - l0), math.exp(l2 - l0)  # e_q(qy)/e_q(y), e_q(q^2 y)/e_q(y)
-            r0.append(abs(math.log(s0) + shift - math.log(fns.A1) - l0))
-            r1.append(_rel(float(s1 / s0), y + d1 * e1))
-            r2.append(
-                _rel(
-                    float(s2 / s0),
-                    qv.q * d2 * e2 + (qv.q * (qv.q + 1.0) * y + 1.0) * d1 * e1 + qv.q * y * y + y,
-                )
-            )
-        rows.append(Identity("weight_sum", name, _SUM_POINTS, _worst(r0), 1e-9))
-        rows.append(Identity("weight_sum_first", name, _SUM_POINTS, _worst(r1), 1e-9))
-        rows.append(Identity("weight_sum_second", name, _SUM_POINTS, _worst(r2), 1e-9))
-    return rows
+        sums, shift = moment_sum(family_by_name(name), ys, qv, 2, tol)
+        s0, s1, s2 = sums.T
+        rows.append(("weight_sum", name, np.abs(np.log(s0) + shift - math.log(fns.A1) - l0), 1e-9))
+        rows.append(("weight_sum_first", name, _rel(s1 / s0, ys + d1 * e1), 1e-9))
+        second = q_ * d2 * e2 + (q_ * (q_ + 1.0) * ys + 1.0) * d1 * e1 + q_ * ys * ys + ys
+        rows.append(("weight_sum_second", name, _rel(s2 / s0, second), 1e-9))
+    return [Identity(name, fam, len(r), _worst(r), bound) for name, fam, r, bound in rows]

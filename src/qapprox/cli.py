@@ -19,6 +19,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .analysis import (
     GridSpec,
     check_lipschitz_theorem,
@@ -223,43 +225,36 @@ def _run_identities(res: dict) -> tuple:
 
 def _run_moments(res: dict) -> tuple:
     op, grid, cfg = _operator_and_grid(res)
-    rows = []
-    worst = (0.0, None)
-    xs = [float(x) for x in grid.xs()]
-    moments = [moment_series(op, x, cfg["tol"]) for x in xs]
-    for i in (0, 1, 2):
-        for x, m in zip(xs, moments):
-            closed = moment_closed(op, i, x)
-            series = m[i]
-            printed = moment_closed_uncorrected(op, i, x)
-            rows.append(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (i, x, closed, series, printed, closed - series, printed - series)
-            )
-            # a non-finite row must fail the scan, not slip past every `>`
-            finite = math.isfinite(closed) and math.isfinite(series)
-            r = abs(closed - series) / max(1.0, abs(series)) if finite else math.inf
-            if r > worst[0]:
-                worst = (r, (i, x))
+    xs = grid.xs()
+    moments = moment_series(op, xs, cfg["tol"])
+    closed, printed = (np.array([np.broadcast_to(fn(op, i, xs), xs.shape) for i in range(3)])
+                       for fn in (moment_closed, moment_closed_uncorrected))
+    series = np.array(moments[:3])
+    rows = [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (i, x, c, s, p, c - s, p - s)
+        for i in range(3)
+        for x, c, s, p in zip(xs.tolist(), closed[i].tolist(), series[i].tolist(), printed[i].tolist())
+    ]
+    # a non-finite row must fail the scan, not slip past every `>`
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(closed - series) / np.maximum(1.0, np.abs(series))
+    rel[~(np.isfinite(closed) & np.isfinite(series))] = math.inf
+    worst = float(rel.max())
     # the ratios divide sum_k c_k out, so its identity is checked on its own
-    norm = [m.norm_residual if math.isfinite(m.norm_residual) else math.inf for m in moments]
-    norm_worst = max(norm, default=0.0)
+    norm = np.where(np.isfinite(moments.norm_residual), moments.norm_residual, math.inf)
+    norm_worst = float(norm.max())
 
     csv = (cfg, "i,x,closed,series,printed,closed_minus_series,printed_minus_series", rows)
-    if worst[0] > _ORACLE_RTOL:
-        i, x = worst[1]
-        fail = f"closed-vs-series i={i} x={_fmt(x)} rel={_fmt(worst[0])} tol={_fmt(_ORACLE_RTOL)}"
+    if worst > _ORACLE_RTOL:
+        i, at = divmod(int(rel.argmax()), len(xs))
+        fail = f"closed-vs-series i={i} x={_fmt(float(xs[at]))} rel={_fmt(worst)} tol={_fmt(_ORACLE_RTOL)}"
         return (*csv, fail, None)
     if norm_worst > _NORM_TOL:
-        x = xs[norm.index(norm_worst)]
+        x = float(xs[norm.argmax()])
         fail = f"normalisation x={_fmt(x)} residual={_fmt(norm_worst)} tol={_fmt(_NORM_TOL)}"
         return (*csv, fail, None)
-    return (
-        *csv,
-        None,
-        "moments: closed vs series max rel %.3g over %d rows; normalisation residual %.3g"
-        % (worst[0], len(rows), norm_worst),
-    )
+    summary = "moments: closed vs series max rel %.3g over %d rows; normalisation residual %.3g"
+    return (*csv, None, summary % (worst, len(rows), norm_worst))
 
 
 def _run_converge(res: dict) -> tuple:

@@ -307,36 +307,30 @@ def moment_closed(op: OperatorInstance, i: int, x):
     return _closed_moment(i, x, op.q.q, op.scale, op.functionals)
 
 
-def moment_closed_uncorrected(op: OperatorInstance, i: int, x: float) -> float:
-    """Weaker second-moment variant kept for fidelity tables.
+def moment_closed_uncorrected(op: OperatorInstance, i: int, x):
+    """Weaker second-moment variant kept for fidelity tables; x a float or an
+    array, as for moment_closed.
 
     Orders 0 and 1 coincide with moment_closed; order 2 drops the terms that
     the series oracle shows are required (for the plain symbol it returns x^2
     where the true value is q x^2 + x b_n/[n]_q).
     """
+    if i != 2:
+        return moment_closed(op, i, x)  # which also rejects any other order
     _check_x(op, x)
-    if i in (0, 1):
-        return moment_closed(op, i, x)
-    if i == 2:
-        q = op.q.q
-        fns = op.functionals
-        s = op.scale
-        r_qy = _damping(q, op.y(x))
-        return (
-            x * x
-            + x * s * r_qy * (q * fns.DqAq + fns.DqA1) / fns.A1
-            + s * s * r_qy * fns.Dq2A1 / fns.A1
-        )
-    raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
+    q, fns, s = op.q.q, op.functionals, op.scale
+    r_qy = _damping(q, op.y(x))
+    return x * x + x * s * r_qy * (q * fns.DqAq + fns.DqA1) / fns.A1 + s * s * r_qy * fns.Dq2A1 / fns.A1
 
 
 SeriesMoments = namedtuple("SeriesMoments", "m0 m1 m2 norm_residual")
 
 
-def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> SeriesMoments:
+def moment_series(op: OperatorInstance, x, tol: float = DEFAULT_TOL) -> SeriesMoments:
     """Brute-force series moments at x; the ground truth the closed forms
     answer to.  One `moment_sum` call gives all three as ratios of scaled
-    sums, m_i = s^i S_i / S_0, so no value leaves the float range.
+    sums, m_i = s^i S_i / S_0, so no value leaves the float range.  x is a
+    float or an array; each field then has x's shape.
 
     norm_residual = |log S_0 + shift - log A(1) - log e_q(y)| checks the
     normalisation sum_k c_k(y) = A(1) e_q(y) that the ratios divide out.
@@ -344,11 +338,11 @@ def moment_series(op: OperatorInstance, x: float, tol: float = DEFAULT_TOL) -> S
     _check_x(op, x)
     y = op.y(x)
     sums, shift = _appell.moment_sum(op.family, y, op.q, 2, tol)
-    m = [float(op.scale**i * s / sums[0]) for i, s in enumerate(sums)]
-    residual = abs(
-        math.log(sums[0]) + shift - math.log(op.functionals.A1) - log_eq_exp(y, op.q, tol)
+    m = [op.scale**i * sums[..., i] / sums[..., 0] for i in range(3)]
+    residual = np.abs(
+        np.log(sums[..., 0]) + shift - math.log(op.functionals.A1) - log_eq_exp(y, op.q, tol)
     )
-    return SeriesMoments(*m, residual)
+    return SeriesMoments(*(map(float, [*m, residual]) if np.ndim(x) == 0 else [*m, residual]))
 
 
 def central_moment2(op: OperatorInstance, x):

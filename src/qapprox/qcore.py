@@ -39,6 +39,8 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 SERIES_CAP = 10_000  # most terms a series sums; read at call time
 
+_BLOCK = 2**14  # most values a series sums at once, for rows of arguments: 128 KB an array
+
 # Step for the central difference that replaces the q-difference quotient at
 # x = 0 (where the quotient degenerates to the ordinary derivative).
 _ZERO_STEP = 1e-6
@@ -82,20 +84,22 @@ def q_integer(r: int, q) -> float:
     return float(q_integers(float(r), as_qvalue(q).q))
 
 
-def q_derivative(f, x: float, q) -> float:
-    """q-difference quotient (f(x) - f(qx)) / ((1-q)x).
+def q_derivative(f, x, q):
+    """q-difference quotient (f(x) - f(qx)) / ((1-q)x), x a float or an array
+    (f is then called on arrays of x's shape).
 
     At x = 0 the quotient degenerates; a central finite difference with
     fixed step 1e-6 estimates f'(0) instead.
     """
     qv = as_qvalue(q)
-    if x == 0.0:
-        val = (float(f(_ZERO_STEP)) - float(f(-_ZERO_STEP))) / (2.0 * _ZERO_STEP)
-    else:
-        val = (float(f(x)) - float(f(qv.q * x))) / ((1.0 - qv.q) * x)
-    if not math.isfinite(val):
-        raise EvaluationError(f"non-finite q-derivative at x={x}")
-    return val
+    x = np.asarray(x, dtype=float)
+    z = x == 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: raised below
+        val = f(np.where(z, _ZERO_STEP, x)) - f(np.where(z, -_ZERO_STEP, qv.q * x))
+    val = val / np.where(z, 2.0 * _ZERO_STEP, (1.0 - qv.q) * x)
+    if not np.isfinite(val).all():
+        raise EvaluationError(f"non-finite q-derivative at x={x[~np.isfinite(val)][0]}")
+    return float(val) if x.ndim == 0 else val
 
 
 def _exp(v: float) -> float:
@@ -106,7 +110,7 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
+def log_eq_exp(x, q, tol: float = DEFAULT_TOL):
     """log e_q(x) = sum_{m>=1} a^m / (m (1-q^m)), a = (1-q)x, for |x| < 1/(1-q).
 
     This expands log e_q(x) = -sum_j log(1 - a q^j), the log of the product
@@ -117,27 +121,28 @@ def log_eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
     that bound is <= tol: an absolute error in the log, so a relative one in
     e_q(x).  As |t_m| <= |a|^m/(1-q), that M is known not to lie past the
     first m with |a|^m/(1-q) |a|/(1-|a|) <= tol, so one numpy pass over that
-    many terms (at most SERIES_CAP) finds it.
+    many terms (at most SERIES_CAP) finds it, for all entries of x end to end.
     """
     qv = as_qvalue(q)
-    x = float(x)
-    a = (1.0 - qv.q) * x
-    if abs(x) >= qv.radius or abs(a) >= 1.0:
-        raise DomainError(
-            f"eq_exp needs |x| < 1/(1-q) = {qv.radius:.6g}, got x={x!r}"
-        )
-    if a == 0.0:
-        return 0.0
-    tail = abs(a) / (1.0 - abs(a))  # |t_M| times this bounds the tail
-    width = math.ceil((math.log(tol * (1.0 - qv.q)) - math.log(tail)) / math.log(abs(a)))
-    m = np.arange(1.0, min(max(width, 1), SERIES_CAP) + 1.0)
-    t = np.power(a, m) / (m * -np.expm1(m * math.log(qv.q)))
-    cut = np.abs(t) * tail <= tol
-    if not cut.any():
-        raise TruncationCapError(
-            f"eq_exp({x}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms"
-        )
-    return float(np.sum(t[: int(np.argmax(cut)) + 1]))
+    x = np.asarray(x, dtype=float)
+    a = (1.0 - qv.q) * x.reshape(-1)
+    if (bad := (np.abs(x.reshape(-1)) >= qv.radius) | (np.abs(a) >= 1.0)).any():
+        bad = float(x.reshape(-1)[bad][0])
+        raise DomainError(f"eq_exp needs |x| < 1/(1-q) = {qv.radius:.6g}, got x={bad!r}")
+    tail = np.abs(a) / (1.0 - np.abs(a))  # |t_M| times this bounds the tail
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 reads nan: one term, 0
+        width = np.ceil((math.log(tol * (1.0 - qv.q)) - np.log(tail)) / np.log(np.abs(a)))
+    width = np.clip(np.nan_to_num(width, nan=1.0), 1, SERIES_CAP).astype(int)
+    start = np.cumsum(width) - width  # where each entry's terms begin
+    m = np.arange(1.0, width.sum() + 1.0) - np.repeat(start, width)
+    t = np.power(np.repeat(a, width), m) / (m * -np.expm1(m * math.log(qv.q)))
+    cut = np.abs(t) * np.repeat(tail, width) <= tol
+    if not (met := np.logical_or.reduceat(cut, start)).all():
+        bad = float(x.reshape(-1)[~met][0])
+        raise TruncationCapError(f"eq_exp({bad}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms")
+    seen = np.cumsum(cut) - cut  # cuts before each term: keep each entry's up to its first
+    sums = np.add.reduceat(np.where(seen == np.repeat(seen[start], width), t, 0.0), start)
+    return float(sums[0]) if x.ndim == 0 else sums.reshape(x.shape)
 
 
 def eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
@@ -150,31 +155,62 @@ def eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
     return _exp(log_eq_exp(x, q, tol))
 
 
-def Eq_exp_series(x: float, q, tol: float = DEFAULT_TOL) -> float:
-    """Raw series for the big q-exponential.
+def _logs_from_peak(log_ratio) -> tuple:
+    """(log(t_k/t_m), k = 0..W-1; log(t_m/t_0); the lowest peak) per row of
+    falling log(t_j/t_{j-1}), j = 1..W-1: running sums away from the peak m,
+    so none strays far from 0 (scaled summation, Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4), masked where rows peak apart
+    so that each row's adds are those of its own 1-D sums."""
+    rise = log_ratio > 0.0
+    m = rise.sum(1).tolist()
+    lo, hi = min(m), max(m)  # columns past lo fall, up to hi rise
+    fall, up = log_ratio[:, lo:], log_ratio[:, :hi]
+    if lo < hi:
+        fall, up = np.where(rise[:, lo:], 0.0, fall), np.where(rise[:, :hi], up, 0.0)
+    log_t = np.zeros((len(log_ratio), log_ratio.shape[1] + 1))
+    np.add.accumulate(fall, axis=1, out=log_t[:, lo + 1 :])
+    up = np.add.accumulate(up[:, ::-1], axis=1)[:, ::-1]
+    log_t[:, :hi] -= up
+    return log_t, up[:, 0] if hi else np.zeros(len(log_ratio)), lo
+
+
+def Eq_exp_series(x, q, tol: float = DEFAULT_TOL):
+    """Raw series for the big q-exponential, x a float or an array.
 
     Fully trustworthy only for x >= 0 where every term is positive; for
     negative arguments the alternating sum cancels and Eq_exp switches to the
-    product form instead.
+    product form instead.  The terms come from their falling log-ratios
+    (`_logs_from_peak`) in one pass over 64, 128, ... terms, up to SERIES_CAP
+    + 1, past where the largest |x|'s ratio falls to 1/2 by 63 terms.  The sum
+    stops at the first k whose next ratio is <= 1/2 and whose term is <= tol
+    max(1, |sum to k|): the super-geometric tail is then below the term.
     """
     qv = as_qvalue(q)
-    x = float(x)
-    total = 0.0
-    term = 1.0
-    qpow = 1.0  # q^k
-    for k in range(SERIES_CAP + 1):
-        total += term
-        qint_next = (1.0 - qpow * qv.q) / (1.0 - qv.q)  # [k+1]_q
-        ratio = qpow * abs(x) / qint_next
-        # super-geometric decay: once the next ratio is below 1/2 the whole
-        # tail is bounded by the current term
-        if ratio <= 0.5 and abs(term) <= tol * max(1.0, abs(total)):
-            return total
-        term *= qpow * x / qint_next
-        qpow *= qv.q
-    raise TruncationCapError(
-        f"Eq_exp({x}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms"
-    )
+    x = np.asarray(x, dtype=float)
+    col, width = x.reshape(-1, 1), 64
+    top = float(np.max(np.abs(col)))  # the largest |x| has the longest series
+    while width <= SERIES_CAP and top * qv.q ** (width - 64) > 0.5 * q_integers(width - 63.0, qv.q):
+        width *= 2
+    if len(col) > (rows := max(1, _BLOCK // width)):  # at most _BLOCK values at once
+        parts = [Eq_exp_series(col[i : i + rows, 0], qv, tol) for i in range(0, len(col), rows)]
+        return np.concatenate(parts).reshape(x.shape)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0; e^shift past the float range
+        while True:
+            k = np.arange(1.0, min(width, SERIES_CAP + 1) + 1.0)
+            log_ratio = (k - 1.0) * math.log(qv.q) + np.log(np.abs(col)) - np.log(q_integers(k, qv.q))
+            log_t, shift, _ = _logs_from_peak(log_ratio[:, :-1])
+            terms = np.where(col < 0.0, 1.0 - 2.0 * ((k - 1.0) % 2.0), 1.0) * np.exp(log_t)  # sign (-1)^k
+            sums = np.add.accumulate(terms, axis=1)
+            small = np.abs(terms) <= tol * np.maximum(np.exp(-shift)[:, None], np.abs(sums))
+            stop = (log_ratio <= math.log(0.5)) & small  # tol max(1, |sum|) in units of t_m
+            if stop.any(1).all() or width > SERIES_CAP:
+                break
+            width *= 2
+        value = sums[np.arange(len(col)), stop.argmax(1)] * np.exp(shift)
+    if not stop.any(1).all():
+        bad = float(col[~stop.any(1), 0][0])
+        raise TruncationCapError(f"Eq_exp({bad}, q={qv.q}) did not meet tol={tol} within {SERIES_CAP} terms")
+    return float(value[0]) if x.ndim == 0 else value.reshape(x.shape)
 
 
 _PRODUCT_CAP = 1_000_000
@@ -243,11 +279,12 @@ def Eq_exp_product(x: float, q, tol: float = DEFAULT_TOL) -> float:
 _SERIES_NEG_LIMIT = 0.5
 
 
-def Eq_exp(x: float, q, tol: float = DEFAULT_TOL) -> float:
+def Eq_exp(x, q, tol: float = DEFAULT_TOL):
     """Big q-exponential E_q(x) = sum_k q^(k(k-1)/2) x^k/[k]_q! (entire).
 
-    The series for x >= -1/2; below, the product, where nothing cancels.
+    The series for x >= -1/2; below, the product, where nothing cancels.  x
+    is a float or an array; an array that reaches below -1/2 goes entry by entry.
     """
-    if float(x) >= -_SERIES_NEG_LIMIT:
+    if np.all(np.asarray(x) >= -_SERIES_NEG_LIMIT):
         return Eq_exp_series(x, q, tol)
-    return Eq_exp_product(x, q, tol)
+    return Eq_exp_product(x, q, tol) if np.ndim(x) == 0 else np.array([Eq_exp(v, q, tol) for v in x])

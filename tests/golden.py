@@ -13,7 +13,8 @@ is correct; a change that moves output on purpose rewrites it.
 
 `--compare` runs every command on this tree and on DIR's `src/` (each in a
 subprocess) and prints, per command whose output differs, the largest
-relative drift of a numeric CSV field and the column it is in.
+relative drift in each CSV column that moved, then the largest per column
+over all commands.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -93,49 +95,66 @@ def _dump(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def _drift(a: str, b: str) -> tuple:
-    """(largest relative drift of a numeric field, its column) between two
-    outputs; inf with the line when anything else differs."""
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|nan)")
+
+
+def _drift(a: str, b: str, worst: dict) -> None:
+    """Record in `worst`, per CSV column (or "text" for the numbers in
+    comment and status lines), the largest relative drift between two
+    outputs.  A difference column (name with `_minus_`) is measured on the
+    scale of the largest field of its row, as it is a difference of two of
+    them.  Anything that moved and is not a number counts as inf."""
     la, lb = a.splitlines(), b.splitlines()
     if len(la) != len(lb):
-        return math.inf, "line count"
-    worst, where = 0.0, ""
+        worst["line count"] = math.inf
+        return
     header = la[1].split(",") if len(la) > 1 else []
     for ra, rb in zip(la, lb):
         if ra == rb:
             continue
-        fa, fb = ra.split(","), rb.split(",")
-        if len(fa) != len(fb):
-            return math.inf, ra
-        for col, (va, vb) in enumerate(zip(fa, fb)):
-            if va == vb:
-                continue
+        if "," in ra and not ra.startswith("#"):
+            names, fa, fb = header, ra.split(","), rb.split(",")
+        else:
+            fa, fb = _NUMBER.findall(ra), _NUMBER.findall(rb)
+            names = ["text"] * len(fa)
+            if _NUMBER.sub("#", ra) != _NUMBER.sub("#", rb):
+                fa = fb = []
+                worst["text"] = math.inf
+        if len(fa) != len(fb) or len(fa) != len(names):
+            worst["text"] = math.inf
+            continue
+        nums = {}
+        for col, (x, y) in enumerate(zip(fa, fb)):
             try:
-                x, y = float(va), float(vb)
-            except ValueError:
-                return math.inf, ra
-            d = abs(x - y) / max(abs(x), abs(y))
-            if d > worst:
-                worst, where = d, header[col] if col < len(header) else f"field {col}"
-    return worst, where
+                nums[col] = float(x), float(y)
+            except ValueError:  # a text field: it must not move
+                if x != y:
+                    worst[names[col]] = math.inf
+        scale = max((max(abs(x), abs(y)) for x, y in nums.values()), default=0.0)
+        for col, (x, y) in nums.items():
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                ref = scale if "_minus_" in names[col] else max(abs(x), abs(y))
+                worst[names[col]] = max(worst.get(names[col], 0.0), abs(x - y) / ref)
 
 
 def compare(other: str) -> None:
     _, rows = read()
     mine, theirs = _dump(SRC), _dump(os.path.join(other, "src"))
-    moved = 0
+    moved, overall = 0, {}
     for argv, *_ in rows:
         key = " ".join(argv)
         (ca, oa, ea), (cb, ob, eb) = theirs[key], mine[key]
         if (ca, oa, ea) == (cb, ob, eb):
             continue
         moved += 1
-        if ca != cb:
-            print(f"{key}\texit {ca} -> {cb}")
-        else:
-            d, where = _drift(oa + ea, ob + eb)
-            print(f"{key}\tmax rel drift {d:.3g} ({where})")
-    print(f"{moved} of {len(rows)} commands moved")
+        worst = {"exit": math.inf} if ca != cb else {}
+        _drift(oa + ea, ob + eb, worst)
+        print(key + "\t" + ", ".join(f"{k} {v:.3g}" for k, v in sorted(worst.items())))
+        for k, v in worst.items():
+            overall[k] = max(overall.get(k, 0.0), v)
+    print(f"{moved} of {len(rows)} commands moved; largest drift per column:")
+    for k, v in sorted(overall.items()):
+        print(f"  {k}: {v:.3g}")
 
 
 def main() -> None:

@@ -17,6 +17,11 @@ form of something the library computes another way.
   `statconv.korovkin_table` must equal them bit for bit.
 - `functional_sums`: `family_functionals` as generator sums of one
   `q_integer` call per term.
+- `moment_series_per_point`: the series moments and normalisation residual
+  from one `moment_sum` and one `log_eq_exp` call per grid point, which
+  `moment_series` on a grid replaces with one call of each.
+- `Eq_exp_series_loop`: the big q-exponential's series as a scalar loop over
+  terms, with the stopping rule `qcore.Eq_exp_series` applies in one pass.
 """
 
 import math
@@ -24,9 +29,9 @@ import math
 import numpy as np
 import mpmath
 
-from qapprox.appell import Functionals
+from qapprox.appell import Functionals, moment_sum
 from qapprox.operators import as_target, evaluate, make_operator, shift_term
-from qapprox.qcore import DEFAULT_TOL, as_qvalue, q_integer
+from qapprox.qcore import DEFAULT_TOL, SERIES_CAP, as_qvalue, log_eq_exp, q_integer
 
 _DPS = 30
 _TAIL = mpmath.mpf(10) ** -25
@@ -130,3 +135,30 @@ def functional_sums(family, q) -> Functionals:
     dq = sum(a * q_integer(k, qv) * qv.q ** (k - 1) for k, a in terms if k >= 1)
     d2 = sum(a * q_integer(k, qv) * q_integer(k - 1, qv) for k, a in terms if k >= 2)
     return Functionals(float(a1), float(d1), float(dq), float(d2))
+
+
+def moment_series_per_point(op, xs, tol: float = DEFAULT_TOL) -> list:
+    """[(m0, m1, m2, norm_residual)] at each x, one kernel call per point."""
+    rows = []
+    for x in xs:
+        y = op.y(float(x))
+        sums, shift = moment_sum(op.family, y, op.q, 2, tol)
+        m = [float(op.scale**i * s / sums[0]) for i, s in enumerate(sums)]
+        log_norm = math.log(op.functionals.A1) + log_eq_exp(y, op.q, tol)
+        rows.append((*m, abs(math.log(sums[0]) + shift - log_norm)))
+    return rows
+
+
+def Eq_exp_series_loop(x: float, q, tol: float = DEFAULT_TOL) -> float:
+    """sum_k q^(k(k-1)/2) x^k/[k]_q!, term by term, up to the first k whose
+    next ratio is <= 1/2 and whose term is <= tol max(1, |sum to k|)."""
+    qv = as_qvalue(q)
+    total, term, qpow = 0.0, 1.0, 1.0  # qpow = q^k
+    for _ in range(SERIES_CAP + 1):
+        total += term
+        qint_next = (1.0 - qpow * qv.q) / (1.0 - qv.q)  # [k+1]_q
+        if qpow * abs(x) / qint_next <= 0.5 and abs(term) <= tol * max(1.0, abs(total)):
+            return total
+        term *= qpow * x / qint_next
+        qpow *= qv.q
+    raise ArithmeticError(f"series did not meet tol={tol} at x={x}, q={qv.q}")

@@ -178,3 +178,35 @@ def test_family_is_frozen():
     fam = family_by_name("one")
     with pytest.raises(Exception):
         fam.coeffs = (2.0,)
+
+
+_SYMBOLS = ("one", "affine", "quad", "1,0.3,0.2,0.1")
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.999))
+@pytest.mark.parametrize("spec", _SYMBOLS)
+def test_weight_rows_equal_single_calls(spec, q):
+    # each row of an array call is the call on its y alone, bit for bit, and
+    # zero past that call's cut: y = 0 and the grid out of order, with a repeat
+    fam = family_from_spec(spec)
+    ys = np.linspace(0.0, 0.95 * SAFETY / (1.0 - q), 21)[[20, 0, 5, 13, 5, 1, 19]]
+    for bound in (1.0, as_qvalue(q).radius**2):
+        c, kq, shift = scaled_weights(fam, ys, q, bound)
+        assert c.shape == (len(ys), len(kq)) and shift.shape == ys.shape
+        for row, y, s in zip(c, ys.tolist(), shift.tolist()):
+            one, kq_one, s_one = scaled_weights(fam, y, q, bound)
+            assert np.array_equal(row[: len(one)], one) and not row[len(one) :].any()
+            assert np.array_equal(kq[: len(one)], kq_one) and s == s_one
+
+
+@pytest.mark.parametrize("q", (0.5, 0.99, 0.999))
+@pytest.mark.parametrize("spec", _SYMBOLS)
+def test_each_row_certifies_its_own_tail(spec, q):
+    # with |h_k| <= bound = 1, a row's sum misses at most tol of the series;
+    # the series itself is the same kernel cut for tol = 1e-30, far past it
+    fam = family_from_spec(spec)
+    ys = np.linspace(0.0, 0.95 * SAFETY / (1.0 - q), 21)[::-1]
+    sums, shift = moment_sum(fam, ys, q, 0)
+    full, full_shift = moment_sum(fam, ys, q, 0, tol=1e-30)
+    assert np.array_equal(shift, full_shift)  # the same peak, so the same scale
+    assert np.all(np.abs(full[:, 0] - sums[:, 0]) <= (1e-12 + 1e-14) * full[:, 0])

@@ -27,7 +27,7 @@ from qapprox.operators import (
 )
 from qapprox.statconv import ScheduleSpec, korovkin_table
 
-from oracles import classical_szasz, closed_moment_scalar
+from oracles import classical_szasz, closed_moment_scalar, moment_series_per_point
 
 
 def test_tol_validation():
@@ -337,11 +337,29 @@ def test_closed_forms_on_arrays_match_scalar_calls(q, family):
         lambda x: moment_closed(op, 0, x),
         lambda x: moment_closed(op, 1, x),
         lambda x: moment_closed(op, 2, x),
+        lambda x: moment_closed_uncorrected(op, 0, x),
+        lambda x: moment_closed_uncorrected(op, 1, x),
+        lambda x: moment_closed_uncorrected(op, 2, x),
         lambda x: central_moment2(op, x),
         lambda x: shift_term(op, x),
     ):
         got = np.broadcast_to(closed(xs), xs.shape)  # order 0 is the scalar 1.0
         assert np.array_equal(got, [closed(float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("family", ["one", "affine", "quad", "1,0.3,0.2,0.1"])
+def test_moment_series_on_a_grid_equals_per_point_calls(q, family):
+    # the `moments` grid 0:auto:21 in one call against one kernel call per
+    # point; then y = 0 alone, and the grid out of order with a repeat
+    op = make_operator(1000, q, math.sqrt(1000), family)
+    grid = np.linspace(0.0, 0.95 * op.x_max, 21)
+    for xs in (grid, np.zeros(1), grid[[20, 0, 7, 3, 7, 12]]):
+        got = np.array(moment_series(op, xs)).T
+        want = np.array(moment_series_per_point(op, xs))
+        np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=1e-13, atol=0.0)
+        # the residual is a difference of logs up to ~2000: compare it absolutely
+        np.testing.assert_allclose(got[:, 3], want[:, 3], rtol=0.0, atol=1e-12)
 
 
 def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
@@ -394,6 +412,14 @@ def test_truncation_cap_surfaces(monkeypatch, tmp_path, capsys):
         scaled_weights(op.family, op.y(1.0), op.q)
     with pytest.raises(TruncationCapError, match="within 20 terms"):
         evaluate(op, preset_function("sin"), 1.0)
+    # an array call raises when any one of its entries misses the cap; y = 0
+    # and x = 0.05 fit in 20 terms
+    ys = np.array([0.0, op.y(0.05), op.y(1.0), 0.0])
+    with pytest.raises(TruncationCapError, match=r"scaled_weights\(y=%r, .* within 20 terms" % float(ys[2])):
+        scaled_weights(op.family, ys, op.q)
+    assert len(scaled_weights(op.family, ys[[0, 1]], op.q)[1]) <= 21
+    with pytest.raises(TruncationCapError, match="within 20 terms"):
+        moment_series(op, np.array([0.05, 1.0]))
     # moments sums the kernel before log e_q, so the kernel's cap is the one named
     assert cli_main(["moments", "--out", str(tmp_path / "m.csv")]) == 4
     err = capsys.readouterr().err

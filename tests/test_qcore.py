@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qapprox.qcore
-from qapprox.errors import DomainError, TruncationCapError
+from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.qcore import (
     DEFAULT_TOL,
     Eq_exp,
@@ -15,9 +15,12 @@ from qapprox.qcore import (
     QValue,
     as_qvalue,
     eq_exp,
+    log_eq_exp,
     q_derivative,
     q_integer,
 )
+
+from oracles import Eq_exp_series_loop
 
 qs = st.floats(min_value=0.05, max_value=0.97)
 
@@ -185,3 +188,60 @@ def test_qvalue_is_frozen():
     qv = as_qvalue(0.5)
     with pytest.raises(Exception):
         qv.q = 0.6
+
+
+def test_q_derivative_on_arrays_matches_scalar_calls():
+    # the same quotient elementwise, and the central difference at 0
+    xs = np.array([0.0, 0.05, 0.7, 2.0, 0.0, 1.3])
+    f = lambda t: t * t * t + 0.5 * t
+    for q in (0.3, 0.8, 0.999):
+        assert np.array_equal(q_derivative(f, xs, q), [q_derivative(f, float(x), q) for x in xs])
+    with pytest.raises(EvaluationError, match="x=0.7"):
+        q_derivative(lambda t: np.where(t > 0.6, np.inf, t), xs, 0.5)
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.999))
+def test_log_eq_exp_on_arrays_matches_scalar_calls(q):
+    # each entry sums its own terms, out of order, with 0 and both signs
+    r = 1.0 / (1.0 - q)
+    xs = np.array([[0.9 * r, 0.0, -0.5 * r], [1e-9, 0.3 * r, -0.95 * r]])
+    assert np.array_equal(log_eq_exp(xs, q), [[log_eq_exp(float(x), q) for x in row] for row in xs])
+    with pytest.raises(DomainError, match="got x=%r" % r):
+        log_eq_exp(np.array([0.0, r, 0.5]), q)
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
+def test_Eq_series_on_arrays_matches_the_term_loop(q):
+    # one numpy pass against the scalar term loop, from -1/2 (where Eq_exp
+    # takes the series) up to x = 0.45/(1-q), out of order
+    xs = np.concatenate([np.linspace(-0.5, 0.45 / (1.0 - q), 40), [0.0, -1e-7]])[::-3]
+    np.testing.assert_allclose(Eq_exp_series(xs, q), [Eq_exp_series_loop(x, q) for x in xs], rtol=1e-13)
+    assert np.array_equal(Eq_exp_series(xs, q), [Eq_exp_series(float(x), q) for x in xs])
+    assert np.array_equal(Eq_exp(xs, q), Eq_exp_series(xs, q))
+
+
+def test_Eq_series_at_q0999_against_40_digits():
+    # the term loop multiplies ~600 rounded ratios into each term (1.2e-12 off
+    # here); the log-terms anchored at the peak hold 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    q = 0.999
+    xs = np.array([-0.5, 0.0, 3.0, 90.0, 225.0, 450.0])
+    want = []
+    with mpmath.workdps(40):
+        for x in xs.tolist():
+            total, term, k, mq = mpmath.mpf(0), mpmath.mpf(1), 0, mpmath.mpf(q)
+            while k < 10 or abs(term) > abs(total) * mpmath.mpf(10) ** -35:
+                total += term
+                term *= mq**k * x * (1 - mq) / (1 - mq ** (k + 1))
+                k += 1
+            want.append(total)
+    np.testing.assert_allclose(Eq_exp_series(xs, q), [float(w) for w in want], rtol=1e-12)
+    # 50 arguments up to 450 take 1024 terms each: summed in blocks of rows
+    xs = np.linspace(450.0, 0.0, 50)
+    assert np.array_equal(Eq_exp_series(xs, q), [Eq_exp_series(float(x), q) for x in xs])
+
+
+def test_Eq_exp_on_a_mixed_array_takes_each_route():
+    xs = np.array([-4.0, -0.3, 2.0, -18.0])
+    assert np.array_equal(Eq_exp(xs, 0.7), [Eq_exp(float(x), 0.7) for x in xs])
+    assert Eq_exp(-4.0, 0.7) == Eq_exp_product(-4.0, 0.7)
