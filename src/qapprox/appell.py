@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore as _qcore
-from .errors import TruncationCapError
+from .errors import DomainError, TruncationCapError
 from .qcore import (
     DEFAULT_TOL,
     Eq_exp,
+    QValue,
     as_qvalue,
     eq_exp,
     log_eq_exp,
@@ -91,19 +92,30 @@ Functionals = namedtuple("Functionals", "A1 DqA1 DqAq Dq2A1")
 
 
 def family_functionals(family: AppellFamily, q) -> Functionals:
-    """The four scalars every moment formula consumes.
+    """The four values every moment formula consumes.
 
     A1 = A(1); DqA1 and DqAq are the termwise q-derivative of A at u = 1 and
-    u = q; Dq2A1 applies the termwise q-derivative twice, at u = 1.
+    u = q; Dq2A1 applies the termwise q-derivative twice, at u = 1.  q is a
+    float (or QValue), giving floats, or an array, giving arrays of its
+    shape whose every entry equals the float call at that q, bit for bit: a
+    float is the same code on a one-entry column.  DomainError names the
+    first q outside (0, 1).
     """
-    qv = as_qvalue(q)
-    kq = q_integers(np.arange(family.degree + 1.0), qv.q).tolist()  # [k]_q, k = 0..deg
+    qs = np.asarray(q.q if isinstance(q, QValue) else q, dtype=float)
+    col = qs.reshape(-1)
+    inside = (col > 0.0) & (col < 1.0)  # NaN fails both
+    if not inside.all():
+        raise DomainError(f"q must satisfy 0 < q < 1, got {float(col[inside.argmin()])!r}")
+    kq = q_integers(np.arange(family.degree + 1.0), col[:, None])  # [k]_q, k = 0..deg
     terms = list(enumerate(family.coeffs))
-    a1 = sum(family.coeffs)
-    d1 = sum(a * kq[k] for k, a in terms)
-    dq = sum(a * kq[k] * qv.q ** (k - 1) for k, a in terms if k >= 1)
-    d2 = sum(a * kq[k] * kq[k - 1] for k, a in terms if k >= 2)
-    return Functionals(float(a1), float(d1), float(dq), float(d2))
+    zero = np.zeros(len(col))  # each sum adds its terms in order, as sum() of floats does
+    a1 = sum(family.coeffs, zero)
+    d1 = sum((a * kq[:, k] for k, a in terms), zero)
+    dq = sum((a * kq[:, k] * np.float_power(col, k - 1) for k, a in terms if k >= 1), zero)
+    d2 = sum((a * kq[:, k] * kq[:, k - 1] for k, a in terms if k >= 2), zero)
+    if qs.ndim == 0:
+        return Functionals(float(a1[0]), float(d1[0]), float(dq[0]), float(d2[0]))
+    return Functionals(*(f.reshape(qs.shape) for f in (a1, d1, dq, d2)))
 
 
 # The tail of sum_k c_k(y) h_k after index K is geometric when |h_k| <= bound:

@@ -17,6 +17,7 @@ approaches is a test oracle (`tests/oracles.py`), not part of the library.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -178,7 +179,6 @@ class OperatorInstance:
     scale: float = field(init=False)
     x_max: float = field(init=False)
     node_sup: float = field(init=False)
-    functionals: Functionals = field(init=False)
     # [f as passed, f as a TargetFunction, its sup bound on the nodes, f at
     # the first nodes, L f(x) by (x, tol)] for the last target evaluated: the
     # node set does not depend on x, so a grid converts f once, calls it once
@@ -201,7 +201,12 @@ class OperatorInstance:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "node_sup", node_sup)
         object.__setattr__(self, "x_max", SAFETY * node_sup)
-        object.__setattr__(self, "functionals", family_functionals(self.family, self.q))
+
+    @functools.cached_property
+    def functionals(self) -> Functionals:
+        """family_functionals at q, computed on first use: a schedule's table
+        takes them for all its operators in one call instead."""
+        return family_functionals(self.family, self.q)
 
     def y(self, x: float) -> float:
         return x / self.scale

@@ -67,14 +67,21 @@ def as_qvalue(q) -> QValue:
     return q if isinstance(q, QValue) else QValue(float(q))
 
 
-def q_integers(r, q: float):
-    """[r]_q elementwise for a float r or an array of them, no validation.
+def q_integers(r, q):
+    """[r]_q elementwise over a broadcast of r and q, each a float or an
+    array, no validation.
 
     1 - q^r is formed as -expm1(r log q): subtracting q^r from 1 would lose
-    about 1/(r(1-q)) ulps for q near 1.  Each entry depends on its own r
-    only, so a table built in pieces equals one built at once, bit for bit.
+    about 1/(r(1-q)) ulps for q near 1.  log q is math.log's, entry by entry
+    for an array q, as numpy's log differs from it in the last bit.  Each
+    entry depends on its own r and q only, so a table built in pieces
+    equals one built at once, bit for bit.
     """
-    return -np.expm1(r * math.log(q)) / (1.0 - q)
+    if isinstance(q, float):
+        log_q = math.log(q)
+    else:
+        log_q = np.reshape([math.log(v) for v in np.ravel(q).tolist()], np.shape(q))
+    return -np.expm1(r * log_q) / (1.0 - q)
 
 
 def q_integer(r: int, q) -> float:

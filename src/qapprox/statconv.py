@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import GridSpec
-from .appell import Functionals
+from .appell import family_functionals
 from .errors import DomainError
 from .operators import _check_x, _closed_moment, make_operator
 
@@ -126,16 +126,27 @@ def korovkin_table(ops, grid: GridSpec) -> list:
     err_v is the weighted error max |moment_v(x) - x^v| / (1 + x^2) of the
     v-th monomial moment on the grid, which must lie inside every
     operator's domain (clip_grid_for makes one that does); DomainError
-    names the operator with the smallest x_max otherwise.  Each moment is
-    one closed-form expression over per-operator columns against the grid
-    row, so the table costs three array expressions whatever len(ops) is.
+    names the operator with the smallest x_max otherwise.  The operators
+    share one symbol, whose functionals are one call on the q_n column;
+    each moment is one closed-form expression over per-operator columns
+    against the grid row, so the table costs three array expressions
+    whatever len(ops) is.
     """
+    if not ops:
+        raise ValueError("korovkin_table needs at least one operator, got none")
+    family = ops[0].family
+    for op in ops:
+        if op.family.coeffs != family.coeffs:
+            raise ValueError(
+                f"korovkin_table needs operators of one family, got {family.name} "
+                f"(n={ops[0].n}) and {op.family.name} (n={op.n})"
+            )
     x = grid.xs()
     _check_x(min(ops, key=lambda op: op.x_max), x)
     col = lambda vals: np.array(vals, dtype=float)[:, None]
     q = col([op.q.q for op in ops])
     s = col([op.scale for op in ops])
-    fns = Functionals(*(col(f) for f in zip(*(op.functionals for op in ops))))
+    fns = family_functionals(family, q)
     weights = 1.0 + x**2
     shape = (len(ops), len(x))
     # float_power is libm's pow, as a float's x**v is; numpy's x**2 is x*x,

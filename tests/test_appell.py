@@ -15,8 +15,9 @@ from qapprox.appell import (
     moment_sum,
     scaled_weights,
 )
-from qapprox.errors import TruncationCapError
+from qapprox.errors import DomainError, TruncationCapError
 from qapprox.qcore import as_qvalue, q_integer
+from qapprox.statconv import ScheduleSpec
 
 from oracles import functional_sums, q_factorial
 
@@ -135,6 +136,38 @@ def test_functionals_equal_per_term_sums(spec, q):
     # one q_integers call for [0]_q..[deg]_q gives the per-term sums' bits
     fam = family_from_spec(spec)
     assert family_functionals(fam, q) == functional_sums(fam, q)
+
+
+@pytest.mark.parametrize("spec", ("one", "affine", "quad", "1,0.3,0.2,0.1"))
+def test_functionals_on_a_q_column_equal_the_float_calls(spec):
+    # the smooth and spiky q_n columns for n = 2..4000 (q = 0.5 on the
+    # squares); degree 3 takes q^2 as a real power
+    fam = family_from_spec(spec)
+    for kind in ("smooth", "spiky"):
+        qs = np.array([ScheduleSpec(kind).q_at(n) for n in range(2, 4001)])
+        got = family_functionals(fam, qs)
+        assert all(f.shape == qs.shape for f in got)
+        rows = list(zip(*(f.tolist() for f in got)))
+        for q, row in zip(qs.tolist(), rows):
+            want = family_functionals(fam, q)
+            assert all(type(v) is float for v in want)
+            assert row == want == functional_sums(fam, q), (kind, q)
+
+
+def test_functionals_keep_the_shape_of_q():
+    fam = family_by_name("quad")
+    got = family_functionals(fam, np.array([[0.3], [0.9]]))
+    assert all(f.shape == (2, 1) for f in got)
+    assert [f[1, 0] for f in got] == list(family_functionals(fam, 0.9))
+
+
+@pytest.mark.parametrize("bad", (0.0, 1.0, -0.5, 1.5, math.nan, math.inf))
+def test_functionals_reject_q_outside_the_unit_interval(bad):
+    fam = family_by_name("affine")
+    with pytest.raises(DomainError, match="0 < q < 1"):
+        family_functionals(fam, bad)
+    with pytest.raises(DomainError, match="0 < q < 1"):
+        family_functionals(fam, np.array([0.5, bad, 0.9]))
 
 
 def test_moment_sum_against_dense_partial_sums():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qapprox.operators
 import qapprox.qcore
 from qapprox.analysis import GridSpec, delta_n, phi_n
-from qapprox.appell import FAMILIES, scaled_weights
+from qapprox.appell import FAMILIES, family_functionals, scaled_weights
 from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError, EvaluationError, TruncationCapError
 from qapprox.qcore import eq_exp
@@ -83,6 +83,14 @@ def test_operator_derived_fields():
     assert op.x_max == pytest.approx(2.1285514742431757, rel=1e-14)
     assert op.x_max == pytest.approx(SAFETY * op.node_sup, rel=1e-14)
     assert op.scale * op.nq == pytest.approx(2.0, rel=1e-14)
+
+
+def test_functionals_computed_on_first_use():
+    op = make_operator(10, 0.8, 2.0, "quad")
+    assert "functionals" not in op.__dict__
+    moment_closed(op, 1, 0.5)
+    assert op.__dict__["functionals"] == family_functionals(op.family, 0.8)
+    assert op.functionals is op.__dict__["functionals"]
 
 
 def test_constant_reproduction():

@@ -10,6 +10,7 @@ from qapprox.analysis import GridSpec
 from qapprox.cli import main as cli_main
 from qapprox.errors import DomainError
 from qapprox.statconv import ScheduleSpec, clip_grid_for, is_perfect_square, korovkin_table
+from qapprox import appell, operators, statconv
 from qapprox.appell import family_from_spec
 
 from oracles import korovkin_rows, natural_density, st_limit_verify
@@ -227,6 +228,43 @@ def test_korovkin_table_names_the_narrowest_operator():
     text = str(exc.value)
     assert "\n" not in text
     assert "for n=16," in text and "n=64" not in text and "n=1024" not in text
+
+
+def test_korovkin_table_rejects_no_operators():
+    with pytest.raises(ValueError, match="at least one operator"):
+        korovkin_table([], GridSpec(0.0, 1.0, 11))
+
+
+def test_korovkin_table_rejects_mixed_families():
+    # one column call of family_functionals assumes one symbol
+    ops = _ops("smooth", (16, 64), "affine") + _ops("smooth", (256,), "quad")
+    with pytest.raises(ValueError, match="one family") as exc:
+        korovkin_table(ops, GridSpec(0.0, 1.0, 11))
+    assert "affine (n=16)" in str(exc.value) and "quad (n=256)" in str(exc.value)
+
+
+def test_converge_takes_the_functionals_in_one_call(monkeypatch):
+    # work count: one family_functionals call per converge, however many
+    # indices; still one make_operator per index (it names n on DomainError)
+    calls = {"family_functionals": 0, "make_operator": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (appell, operators, statconv):
+        counted(module, "family_functionals")
+    counted(statconv, "make_operator")
+    ns = ",".join(str(n) for n in range(2, 202))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(["converge", "--schedule", "spiky", "--family", "quad", "--ns", ns, "--grid", "0:1:11"])
+    assert rc == 0
+    assert calls == {"family_functionals": 1, "make_operator": 200}
 
 
 def test_korovkin_table_smooth_frozen():
