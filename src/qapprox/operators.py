@@ -305,6 +305,24 @@ def _closed_moment(i: int, x, q, s, fns: Functionals):
     raise ValueError(f"moment order must be 0, 1 or 2, got {i}")
 
 
+def _closed_central_moment2(x, q, s, fns: Functionals):
+    """Second moment about x, elementwise as _closed_moment, in a form that
+    does not cancel near q = 1: with y = x/s, d1 = DqA1/A1, d2 = Dq2A1/A1,
+    r1 = R(qy) and r2 = R(qy) R(q^2 y),
+
+        mu_2 = s r1 [x (1 - d1 (1-q)(q+2)) + d1 s] + q s^2 r2 d2,
+
+    which is m2 - 2x m1 + x^2 with m1 - x = d1 r1 s and
+    -(1-q) x^2 + x s = x s r1 taken out by hand."""
+    y = x / s
+    r_qy = _damping(q, y)
+    d1 = fns.DqA1 / fns.A1
+    return (
+        s * r_qy * (x * (1.0 - d1 * (1.0 - q) * (q + 2.0)) + d1 * s)
+        + q * s * s * r_qy * _damping(q, q * y) * fns.Dq2A1 / fns.A1
+    )
+
+
 def moment_closed(op: OperatorInstance, i: int, x):
     """Closed-form monomial moment, i in {0, 1, 2}; i = 2 is the verified form.
     x is a float or an array (elementwise; i = 0 gives 1.0, which broadcasts)."""
@@ -351,10 +369,10 @@ def moment_series(op: OperatorInstance, x, tol: float = DEFAULT_TOL) -> SeriesMo
 
 
 def central_moment2(op: OperatorInstance, x):
-    """Second moment about x, a float or an array; nonnegative on the guarded domain."""
-    m1 = moment_closed(op, 1, x)
-    m2 = moment_closed(op, 2, x)
-    return m2 - 2.0 * x * m1 + x * x
+    """Second moment about x, a float or an array; nonnegative on the guarded
+    domain, and free of the cancellation in m2 - 2x m1 + x^2 near q = 1."""
+    _check_x(op, x)
+    return _closed_central_moment2(x, op.q.q, op.scale, op.functionals)
 
 
 def shift_term(op: OperatorInstance, x):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from qapprox.operators import (
+    central_moment2,
     evaluate,
     make_operator,
     moment_closed,
@@ -103,6 +104,40 @@ def test_moment_closed_against_50_digit_sums():
                         err = float(abs(mpmath.mpf(series[i]) - ref[i]) / ref[i])
                         assert err <= 1e-12, (q, n, fam, frac, i, err)
     assert worst > 0.0  # the sweep did compare something
+
+
+def _reference_central_moment2(coeffs, q, s, x):
+    """m2 - 2x m1 + x^2 from the closed moments at 50 digits, at the
+    operator's own float q and scale s; [k]_q is (1 - q^k)/(1 - q) in mpmath."""
+    with mpmath.workdps(50):
+        q, s, x = mpmath.mpf(q), mpmath.mpf(s), mpmath.mpf(x)
+        a = [mpmath.mpf(c) for c in coeffs]
+        kq = [(1 - q**k) / (1 - q) for k in range(len(a))]
+        d1 = mpmath.fsum(a[k] * kq[k] for k in range(len(a))) / sum(a)
+        d2 = mpmath.fsum(a[k] * kq[k] * kq[k - 1] for k in range(2, len(a))) / sum(a)
+        r1 = 1 - (1 - q) * x / s
+        r2 = r1 * (1 - (1 - q) * q * x / s)
+        m1 = x + d1 * r1 * s
+        m2 = q * x * x + x * s + s * s * q * r2 * d2 + s * r1 * d1 * (q * (q + 1) * x + s)
+        return m2 - 2 * x * m1 + x * x
+
+
+def test_central_moment2_against_50_digits():
+    # m2 - 2x m1 + x^2 in floats loses up to 5.6e-10 of it at q = 0.99999;
+    # the factored form keeps every q to 1e-14 relative, up to x_max
+    families = {"one": (1.0,), **_COEFFS}
+    worst = 0.0
+    for q in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+        for fam, coeffs in families.items():
+            op = make_operator(1000, q, math.sqrt(1000), fam)
+            xs = np.linspace(0.0, op.x_max, 41)[1:]
+            for x, got in zip(xs.tolist(), central_moment2(op, xs).tolist()):
+                assert got == central_moment2(op, x)
+                ref = _reference_central_moment2(coeffs, op.q.q, op.scale, x)
+                err = float(abs(mpmath.mpf(got) - ref) / ref)
+                assert err <= 1e-14, (q, fam, x, err)
+                worst = max(worst, err)
+    assert worst > 0.0
 
 
 _TARGETS = {
