@@ -312,8 +312,9 @@ def _closed_central_moment2(x, q, s, fns: Functionals):
 
         mu_2 = s r1 [x (1 - d1 (1-q)(q+2)) + d1 s] + q s^2 r2 d2,
 
-    which is m2 - 2x m1 + x^2 with m1 - x = d1 r1 s and
-    -(1-q) x^2 + x s = x s r1 taken out by hand."""
+    which is m2 - 2x m1 + x^2 rewritten with m1 - x = d1 r1 s and
+    -(1-q) x^2 + x s = x s r1, so the nearly equal m2, 2x m1 and x^2
+    are never subtracted."""
     y = x / s
     r_qy = _damping(q, y)
     d1 = fns.DqA1 / fns.A1
