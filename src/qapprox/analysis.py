@@ -217,8 +217,7 @@ def _class_membership(f: TargetFunction) -> None:
 
 
 def _lhs_curve(op, f, xs, tol) -> np.ndarray:
-    lv = np.array([evaluate(op, f, float(x), tol) for x in xs])
-    return np.abs(lv - f(xs))
+    return np.abs(evaluate(op, f, xs, tol) - f(xs))
 
 
 def _extended_grid(op: OperatorInstance, grid: GridSpec) -> GridSpec:

@@ -205,6 +205,26 @@ def scaled_weights(family: AppellFamily, y, q, bound: float = 1.0, tol: float = 
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.reshape(-1)
+    shift, blocks, kq = np.zeros(len(flat)), [], np.zeros(0)
+    for rows, K, c, block_shift, block_kq in _weight_blocks(family, flat, q, bound, tol):
+        shift[rows] = block_shift
+        blocks.append((rows, K, c))
+        kq = max(kq, block_kq, key=len)
+    if ys.ndim == 0:
+        return blocks[0][2][0], kq, float(shift[0])
+    c = np.zeros((len(flat), len(kq)))
+    for rows, K, block in blocks:  # each row zero past its own cut
+        c[rows, : block.shape[1]] = np.where(np.arange(block.shape[1]) <= K[:, None], block, 0.0)
+    return c.reshape(ys.shape + kq.shape), kq, shift.reshape(ys.shape)
+
+
+def _weight_blocks(family: AppellFamily, flat, q, bound: float, tol: float):
+    """`scaled_weights` of the 1-D array `flat`, block by block as it is
+    summed: yields (rows, K, c, shift, kq) with rows the entries of `flat`
+    the block holds, K their cuts, c their weights up to the block's largest
+    cut (a row is not zeroed past its own), shift their shifts and kq
+    [0]_q..[K.max()]_q.  Each entry comes in exactly one block, and no more
+    than one block's arrays are alive at once."""
     if min(flat.tolist()) < 0.0:
         raise ValueError("y must be nonnegative")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -213,46 +233,40 @@ def scaled_weights(family: AppellFamily, y, q, bound: float = 1.0, tol: float = 
     table, a, deg, k_max = _q_table(qv.q), family.coeffs, family.degree, _qcore.SERIES_CAP
     # math.log: np.log differs from it in the last bit for a few y
     log_y = np.array([math.log(v) if v > 0.0 else -math.inf for v in flat.tolist()])
-    lo, shift, blocks, pending = max(_K_MIN, deg), np.zeros(len(flat)), [], {}
+    lo, pending = max(_K_MIN, deg), {}
     # 20 bound/tol: the cut needs c_K rho/(1-rho) bound <= tol sum c, and rho >= SAFETY
     for i, w in enumerate(_first_windows(table, qv.q, flat, log_y, deg, math.log(20.0 * bound / tol))):
         pending.setdefault(w, []).append(i)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the bound where rho >= 1
-        while pending:
-            width = min(pending)
-            entries, (kq, log_kq, _) = pending.pop(width), table.upto(width + 1)
-            step = max(1, _qcore._BLOCK // width)
-            for rows in (np.array(entries[i : i + step]) for i in range(0, len(entries), step)):
-                log_t, shift[rows], peak = _qcore._logs_from_peak(log_y[rows, None] - log_kq[1:width])
-                t = np.exp(log_t)
-                c = a[0] * t
-                for j in range(1, deg + 1):
-                    c[:, j:] += a[j] * t[:, :-j]  # c_k = a_0 t_k + a_1 t_{k-1} + ...
-                total = np.add.accumulate(c, axis=1)
-                # rho = y/[k+1-deg]_q >= 1 up to the peak, so no row cuts before `first`
-                first = min(max(lo, peak + deg - 1), width - 1)
-                rho = np.maximum(flat[rows, None] / kq[first + 1 - deg : width + 1 - deg], SAFETY)
-                # where rho >= 1 the bound reads inf or nan, and never cuts
+    while pending:
+        width = min(pending)
+        entries, (kq, log_kq, _) = pending.pop(width), table.upto(width + 1)
+        step = max(1, _qcore._BLOCK // width)
+        for rows in (np.array(entries[i : i + step]) for i in range(0, len(entries), step)):
+            log_t, shift, peak = _qcore._logs_from_peak(log_y[rows, None] - log_kq[1:width])
+            t = np.exp(log_t)
+            c = a[0] * t
+            for j in range(1, deg + 1):
+                c[:, j:] += a[j] * t[:, :-j]  # c_k = a_0 t_k + a_1 t_{k-1} + ...
+            total = np.add.accumulate(c, axis=1)
+            # rho = y/[k+1-deg]_q >= 1 up to the peak, so no row cuts before `first`
+            first = min(max(lo, peak + deg - 1), width - 1)
+            rho = np.maximum(flat[rows, None] / kq[first + 1 - deg : width + 1 - deg], SAFETY)
+            # where rho >= 1 the bound reads inf or nan, and never cuts
+            with np.errstate(divide="ignore", invalid="ignore"):
                 cut = c[:, first:] * rho / np.maximum(1.0 - rho, 0.0) * bound <= tol * total[:, first:]
-                K = cut.argmax(1)  # each row's cut, if it has one
-                done, K = cut[np.arange(len(rows)), K], K + first
-                if not done.all():
-                    if width > k_max:
-                        raise TruncationCapError(
-                            f"scaled_weights(y={flat[rows[~done][0]]}, q={qv.q}) did not meet "
-                            f"tol={tol} within {k_max} terms"
-                        )
-                    pending.setdefault(min(2 * width, k_max + 1), []).extend(rows[~done].tolist())
-                    rows, K, c = rows[done], K[done], c[done]
-                if rows.size:
-                    blocks.append((rows, K, c[:, : K.max() + 1]))
-    kq = table.upto(max(K.max() for _, K, _ in blocks) + 1)[0]
-    if ys.ndim == 0:
-        return blocks[0][2][0], kq, float(shift[0])
-    c = np.zeros((len(flat), len(kq)))
-    for rows, K, block in blocks:  # each row zero past its own cut
-        c[rows, : block.shape[1]] = np.where(np.arange(block.shape[1]) <= K[:, None], block, 0.0)
-    return c.reshape(ys.shape + kq.shape), kq, shift.reshape(ys.shape)
+            K = cut.argmax(1)  # each row's cut, if it has one
+            done, K = cut[np.arange(len(rows)), K], K + first
+            if not done.all():
+                if width > k_max:
+                    raise TruncationCapError(
+                        f"scaled_weights(y={flat[rows[~done][0]]}, q={qv.q}) did not meet "
+                        f"tol={tol} within {k_max} terms"
+                    )
+                pending.setdefault(min(2 * width, k_max + 1), []).extend(rows[~done].tolist())
+                rows, K, c, shift = rows[done], K[done], c[done], shift[done]
+            if rows.size:
+                top = K.max() + 1
+                yield rows, K, c[:, :top], shift, kq[:top]
 
 
 def moment_sum(family: AppellFamily, y, q, power: int, tol: float = DEFAULT_TOL) -> tuple:

@@ -30,7 +30,6 @@ from .appell import (
     Functionals,
     family_from_spec,
     family_functionals,
-    scaled_weights,
 )
 from .errors import DomainError, EvaluationError
 from .qcore import DEFAULT_TOL, QValue, _exp, as_qvalue, log_eq_exp, q_integer
@@ -250,12 +249,17 @@ def _node_sup_bound(f: TargetFunction, hi: float) -> float:
     return 2.0 * m + 1e-6
 
 
-def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> float:
+def evaluate(op: OperatorInstance, f, x, tol: float = DEFAULT_TOL):
     """Operator value at x, truncated under a proven geometric tail bound.
 
+    x is a float, giving a float, or an array, giving an array of its shape.
     The weights are scaled by their largest term, which cancels in the
-    ratio, so the value stays finite on the whole guarded domain.  Values
-    are kept per (x, tol) until another f is evaluated on this operator.
+    ratio, so the value stays finite on the whole guarded domain.  The x not
+    yet known run through one kernel pass (`appell._weight_blocks`), and each
+    block of rows is reduced as it arrives, row by row with the operands of
+    a call on that x alone, so no (x, node) matrix is built and every value
+    equals the float call's bit for bit.  Values are kept per (x, tol) until
+    another f is evaluated on this operator; a call that raises keeps none.
     """
     _check_x(op, x)
     slot = op._target
@@ -263,19 +267,27 @@ def evaluate(op: OperatorInstance, f, x: float, tol: float = DEFAULT_TOL) -> flo
         target = as_target(f)
         slot[:] = f, target, _node_sup_bound(target, op.node_sup), np.zeros(0), {}
     _, f, bound, known, memo = slot
-    if (x, tol) in memo:
-        return memo[x, tol]
-    c, kq, _ = scaled_weights(op.family, op.y(x), op.q, bound, tol)
-    if len(known) < len(kq):
-        nodes = kq[len(known) :] * op.scale
-        fv = f(nodes)
-        bad = ~np.isfinite(fv)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
-        known = slot[3] = np.concatenate([known, fv])
-    memo[x, tol] = value = float(c @ known[: len(kq)] / c.sum())
-    return value
+    xs = np.asarray(x, dtype=float)
+    points = xs.reshape(-1).tolist()
+    new = {}
+    todo = [v for v in dict.fromkeys(points) if (v, tol) not in memo]
+    if todo:
+        ys = np.array(todo) / op.scale
+        for rows, K, c, _, kq in _appell._weight_blocks(op.family, ys, op.q, bound, tol):
+            if len(known) < len(kq):
+                nodes = kq[len(known) :] * op.scale
+                fv = f(nodes)
+                bad = ~np.isfinite(fv)
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    raise EvaluationError(f"{f.name} returned {fv[k]} at node {nodes[k]}")
+                known = np.concatenate([known, fv])
+            for row, r, cut in zip(c, rows.tolist(), (K + 1).tolist()):
+                new[todo[r], tol] = float(row[:cut] @ known[:cut] / row[:cut].sum())
+        slot[3] = known
+        memo.update(new)
+    values = [memo[v, tol] for v in points]
+    return values[0] if xs.ndim == 0 else np.array(values).reshape(xs.shape)
 
 
 def _damping(q, y):

@@ -115,6 +115,24 @@ def test_second_modulus_memory_bounded():
     assert peak < 16 * 2**20
 
 
+def test_evaluate_on_a_grid_memory_bounded():
+    # 2001 points at q=0.999: the rows are cut past 4000 nodes, so a dense
+    # (points x nodes) weight matrix would take 67 MB; the kernel pass is
+    # reduced block by block instead
+    op = make_operator(1000, 0.999, math.sqrt(1000), "affine")
+    xs = np.linspace(0.0, op.x_max, 2001)
+    fsin = preset_function("sin")
+    tracemalloc.start()
+    try:
+        values = evaluate(op, fsin, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert len(scaled_weights(op.family, op.y(op.x_max), op.q, bound=1.0)[0]) > 4000
+    assert peak < 4 * 2**20
+
+
 def test_grid_measures_match_scalar_loops():
     # the old per-point loops as references; numpy's array pow and sin may
     # round differently from the scalar ones, hence the few-ulp tolerance

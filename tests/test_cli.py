@@ -316,26 +316,38 @@ def test_moments_one_kernel_call_per_point(monkeypatch, tmp_path):
     assert calls == {"scaled_weights": 1, "moment_sum": 1, "log_eq_exp": 1}
 
 
+def _count_kernel_passes(monkeypatch) -> list:
+    """Wrap the weight kernel's block generator; returns the number of rows
+    of each pass, one entry per pass."""
+    passes, real = [], qapprox.appell._weight_blocks
+
+    def counted(family, flat, *a, **kw):
+        passes.append(len(flat))
+        return real(family, flat, *a, **kw)
+
+    monkeypatch.setattr(qapprox.appell, "_weight_blocks", counted)
+    return passes
+
+
 def test_certificates_compute_each_point_once(monkeypatch, tmp_path):
-    # rates' three checkers share each L f(x) through evaluate's memo, so
-    # 3 evaluate calls but one kernel call per grid point
-    calls = _count_calls(
-        monkeypatch,
-        (qapprox.analysis, "evaluate"),
-        (qapprox.operators, "scaled_weights"),
-    )
+    # each checker takes L f on its whole grid in one evaluate call, and
+    # rates' three checkers share it through evaluate's memo, so 3 evaluate
+    # calls but one kernel pass over the grid's rows
+    calls = _count_calls(monkeypatch, (qapprox.analysis, "evaluate"))
+    passes = _count_kernel_passes(monkeypatch)
     out = tmp_path / "r.csv"
     assert run(["rates", "--grid", "0:auto:11", "--out", str(out)]) == 0
     assert "# summary name=maximal" in out.read_text()
-    assert calls == {"evaluate": 3 * 11, "scaled_weights": 11}
-    calls.update(evaluate=0, scaled_weights=0)
+    assert calls == {"evaluate": 3} and passes == [11]
+    calls.update(evaluate=0)
+    passes.clear()
     assert run(["local", "--grid", "0:auto:11", "--out", str(out)]) == 0
-    assert calls == {"evaluate": 11, "scaled_weights": 11}
+    assert calls == {"evaluate": 1} and passes == [11]
 
 
 def test_rates_without_the_memo_writes_the_same_csv(monkeypatch, tmp_path):
     # a certify-large rates command with the memo emptied before every
-    # evaluate: 3 kernel calls per point, and the same bytes
+    # evaluate: a kernel pass over the whole grid per checker, and the same bytes
     argv = ["rates", "--q", "0.99", "--function", "abspow:0.394:6.856", "--n", "1000",
             "--bn", "sqrt", "--family", "affine", "--grid", "0.03819:auto:101"]
     memo, plain = tmp_path / "memo.csv", tmp_path / "plain.csv"
@@ -347,9 +359,9 @@ def test_rates_without_the_memo_writes_the_same_csv(monkeypatch, tmp_path):
         return real(op, f, x, tol)
 
     monkeypatch.setattr(qapprox.analysis, "evaluate", no_memo)
-    calls = _count_calls(monkeypatch, (qapprox.operators, "scaled_weights"))
+    passes = _count_kernel_passes(monkeypatch)
     assert run(argv + ["--out", str(plain)]) == 0
-    assert calls == {"scaled_weights": 3 * 101}
+    assert passes == [101] * 3
     assert plain.read_bytes().replace(b"plain.csv", b"memo.csv") == memo.read_bytes()
 
 

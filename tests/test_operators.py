@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qapprox.appell
 import qapprox.operators
 import qapprox.qcore
 from qapprox.analysis import GridSpec, delta_n, phi_n
@@ -373,8 +374,8 @@ def test_moment_series_on_a_grid_equals_per_point_calls(q, family):
 def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
     # L f(x) is kept per (x, tol) for the operator's last f, so a repeat
     # costs no kernel call and anything else that changes the value does
-    calls, real = [], qapprox.operators.scaled_weights
-    monkeypatch.setattr(qapprox.operators, "scaled_weights", lambda *a: calls.append(a) or real(*a))
+    calls, real = [], qapprox.appell._weight_blocks
+    monkeypatch.setattr(qapprox.appell, "_weight_blocks", lambda *a: calls.append(a) or real(*a))
     op = make_operator(100, 0.95, 10.0, "affine")
     sin, e1 = preset_function("sin"), preset_function("e1")
     v = evaluate(op, sin, 0.5)
@@ -389,6 +390,56 @@ def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
     other = make_operator(100, 0.9, 10.0, "affine")
     assert evaluate(other, sin, 0.5) != v and len(calls) == 6
     assert evaluate(op, sin, 0.5) == v and len(calls) == 6
+
+
+_TARGETS = ("sin", "expneg", "abspow:0.5:3")
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("family", ["one", "affine", "quad"])
+def test_evaluate_on_a_grid_equals_float_calls(q, family, monkeypatch):
+    # one array call against a float call per x, each on a fresh operator,
+    # with no tolerance: a grid from 0 to x_max out of order, with repeats;
+    # its rows start in first windows of several widths, so the one kernel
+    # pass yields blocks of several widths
+    op = make_operator(1000, q, math.sqrt(1000), family)
+    grid = np.linspace(0.0, op.x_max, 21)
+    xs = np.concatenate([grid[[20, 0, 7, 3, 7, 12, 1]], grid[::3], [op.x_max, 0.0]])
+    widths, real = [], qapprox.qcore._logs_from_peak
+    monkeypatch.setattr(qapprox.qcore, "_logs_from_peak", lambda r: widths.append(r.shape[1] + 1) or real(r))
+    for name in _TARGETS:
+        fresh = lambda: make_operator(1000, q, math.sqrt(1000), family)
+        widths.clear()
+        got = evaluate(fresh(), preset_function(name), xs)
+        assert len(set(widths)) > 1
+        assert got.shape == xs.shape
+        assert got.tolist() == [evaluate(fresh(), preset_function(name), x) for x in xs.tolist()]
+        # a 0-d array is a float x
+        x0 = float(xs[3])
+        v = evaluate(fresh(), preset_function(name), np.array(x0))
+        assert type(v) is float and v == evaluate(fresh(), preset_function(name), x0)
+
+
+def test_evaluate_on_a_grid_failures_keep_nothing():
+    # f is nan past t = 20, inside the node range [0, node_sup ~ 31.6]
+    op = make_operator(1000, 0.99, math.sqrt(1000), "affine")
+    assert op.node_sup > 30.0
+    f = TargetFunction(lambda t: np.where(t < 20.0, np.sin(t), np.nan), "cut", bounded=1.0)
+    xs = np.linspace(0.0, op.x_max, 41)
+    with pytest.raises(EvaluationError, match=r"cut returned nan at node") as array_err:
+        evaluate(op, f, xs)
+    fresh = make_operator(1000, 0.99, math.sqrt(1000), "affine")
+    with pytest.raises(EvaluationError) as float_err:
+        evaluate(fresh, f, float(xs[-1]))
+    assert str(array_err.value) == str(float_err.value)
+    assert not op._target[-1]  # the rows reduced before the bad node are not kept
+    with pytest.raises(DomainError, match=r"x in \[0.0, .*\] outside \[0, "):
+        evaluate(op, f, np.append(xs, 1.01 * op.x_max))
+    assert not op._target[-1]
+    # a valid call afterwards matches the float calls on fresh operators
+    low = np.linspace(0.0, 2.0, 11)
+    want = [evaluate(make_operator(1000, 0.99, math.sqrt(1000), "affine"), f, x) for x in low.tolist()]
+    assert evaluate(op, f, low).tolist() == want
 
 
 def test_node_bound_overflow_reads_inf():
