@@ -223,8 +223,8 @@ def _weight_blocks(family: AppellFamily, flat, q, bound: float, tol: float):
     summed: yields (rows, K, c, shift, kq) with rows the entries of `flat`
     the block holds, K their cuts, c their weights up to the block's largest
     cut (a row is not zeroed past its own), shift their shifts and kq
-    [0]_q..[K.max()]_q.  Each entry comes in exactly one block, and no more
-    than one block's arrays are alive at once."""
+    [0]_q..[K.max()]_q.  Each entry comes in exactly one block, and the
+    generator holds one block's arrays at a time."""
     if min(flat.tolist()) < 0.0:
         raise ValueError("y must be nonnegative")
     if not (tol > 0.0 and math.isfinite(tol)):

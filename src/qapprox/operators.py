@@ -272,8 +272,8 @@ def evaluate(op: OperatorInstance, f, x, tol: float = DEFAULT_TOL):
     new = {}
     todo = [v for v in dict.fromkeys(points) if (v, tol) not in memo]
     if todo:
-        ys = np.array(todo) / op.scale
-        for rows, K, c, _, kq in _appell._weight_blocks(op.family, ys, op.q, bound, tol):
+        blocks = _appell._weight_blocks(op.family, op.y(np.array(todo)), op.q, bound, tol)
+        for rows, K, c, _, kq in blocks:
             if len(known) < len(kq):
                 nodes = kq[len(known) :] * op.scale
                 fv = f(nodes)

@@ -392,9 +392,6 @@ def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
     assert evaluate(op, sin, 0.5) == v and len(calls) == 6
 
 
-_TARGETS = ("sin", "expneg", "abspow:0.5:3")
-
-
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("family", ["one", "affine", "quad"])
 def test_evaluate_on_a_grid_equals_float_calls(q, family, monkeypatch):
@@ -402,13 +399,13 @@ def test_evaluate_on_a_grid_equals_float_calls(q, family, monkeypatch):
     # with no tolerance: a grid from 0 to x_max out of order, with repeats;
     # its rows start in first windows of several widths, so the one kernel
     # pass yields blocks of several widths
-    op = make_operator(1000, q, math.sqrt(1000), family)
-    grid = np.linspace(0.0, op.x_max, 21)
-    xs = np.concatenate([grid[[20, 0, 7, 3, 7, 12, 1]], grid[::3], [op.x_max, 0.0]])
+    fresh = lambda: make_operator(1000, q, math.sqrt(1000), family)
+    x_max = fresh().x_max
+    grid = np.linspace(0.0, x_max, 21)
+    xs = np.concatenate([grid[[20, 0, 7, 3, 7, 12, 1]], grid[::3], [x_max, 0.0]])
     widths, real = [], qapprox.qcore._logs_from_peak
     monkeypatch.setattr(qapprox.qcore, "_logs_from_peak", lambda r: widths.append(r.shape[1] + 1) or real(r))
-    for name in _TARGETS:
-        fresh = lambda: make_operator(1000, q, math.sqrt(1000), family)
+    for name in ("sin", "expneg", "abspow:0.5:3"):
         widths.clear()
         got = evaluate(fresh(), preset_function(name), xs)
         assert len(set(widths)) > 1
