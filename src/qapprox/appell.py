@@ -218,6 +218,11 @@ def scaled_weights(family: AppellFamily, y, q, bound: float = 1.0, tol: float = 
     return c.reshape(ys.shape + kq.shape), kq, shift.reshape(ys.shape)
 
 
+def _blocks(rows: int, width: int) -> int:
+    """How many blocks `_weight_blocks` sums `rows` rows of `width` terms in."""
+    return -(-rows // max(1, _qcore._BLOCK // width))
+
+
 def _weight_blocks(family: AppellFamily, flat, q, bound: float, tol: float):
     """`scaled_weights` of the 1-D array `flat`, block by block as it is
     summed: yields (rows, K, c, shift, kq) with rows the entries of `flat`
@@ -239,8 +244,13 @@ def _weight_blocks(family: AppellFamily, flat, q, bound: float, tol: float):
         pending.setdefault(w, []).append(i)
     while pending:
         width = min(pending)
-        entries, (kq, log_kq, _) = pending.pop(width), table.upto(width + 1)
-        step = max(1, _qcore._BLOCK // width)
+        entries, wider = pending.pop(width), min(pending, default=0)
+        if wider and len(entries) * (wider - width) <= _qcore._PAD:  # padding cheaper than a block
+            n = len(pending[wider])
+            if _blocks(len(entries) + n, wider) <= _blocks(len(entries), width) + _blocks(n, wider):
+                pending[wider] = entries + pending[wider]
+                continue
+        (kq, log_kq, _), step = table.upto(width + 1), max(1, _qcore._BLOCK // width)
         for rows in (np.array(entries[i : i + step]) for i in range(0, len(entries), step)):
             log_t, shift, peak = _qcore._logs_from_peak(log_y[rows, None] - log_kq[1:width])
             t = np.exp(log_t)

@@ -260,7 +260,7 @@ def _run_moments(res: dict) -> tuple:
 def _run_converge(res: dict) -> tuple:
     sched = _spec(ScheduleSpec, "schedule", res["schedule"])
     fam = _spec(family_from_spec, "family", res["family"])
-    ns = _as_int_list(res["ns"], "ns")
+    ns = sorted(set(_as_int_list(res["ns"], "ns")))  # the errors must fall along n, in any listed order
     lo, hi, pts = _parse_grid(res["grid"])
     ops = sched.operators(ns, fam)
     eff = clip_grid_for(ops, GridSpec(lo, 1e30 if hi is None else hi, pts))

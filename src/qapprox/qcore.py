@@ -40,6 +40,7 @@ DEFAULT_TOL = 1e-12
 SERIES_CAP = 10_000  # most terms a series sums; read at call time
 
 _BLOCK = 2**14  # most values a series sums at once, for rows of arguments: 128 KB an array
+_PAD = _BLOCK // 16  # most padding a narrow group of rows takes on to join the next wider one
 
 # Step for the central difference that replaces the q-difference quotient at
 # x = 0 (where the quotient degenerates to the ordinary derivative).
