@@ -168,7 +168,9 @@ def _first_windows(table, q: float, flat, log_y, deg: int, margin: float) -> lis
     """Each entry's first window: the first of `_widths` whose last lag is
     past the peak m of t_k (the last k with [k]_q < y) and along which t_k
     falls from t_m by e^-margin, where log(t_k/t_m) = (k-m) log y -
-    log([k]_q!/[m]_q!).  A window decides only how many passes find the cut."""
+    log([k]_q!/[m]_q!).  A window decides only how many passes find the cut:
+    `_weight_blocks` may sum a row in a wider window than its first, and a
+    row's running sums up to its cut never read the columns past it."""
     widths, top = _widths(_qcore.SERIES_CAP), int(flat.argmax())
     a = (1.0 - q) * float(flat[top])  # [k]_q < y exactly when q^k > 1 - a
     m = max(math.ceil(math.log1p(-a) / math.log(q)) - 1, 0) if a < 1.0 else widths[-1]
@@ -202,6 +204,9 @@ def scaled_weights(family: AppellFamily, y, q, bound: float = 1.0, tol: float = 
     For an array y, c has a row per entry, zero past its own K, and shift
     y's shape.  Entries that share a window are summed in blocks of at most
     `qcore._BLOCK` values, each row with the adds of a call on its y alone.
+    A row may be summed in a wider window than its first (`_weight_blocks`),
+    which changes no value: it is zeroed past its own cut, into a matrix as
+    wide as the largest cut whatever the blocks were.
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.reshape(-1)
@@ -229,7 +234,15 @@ def _weight_blocks(family: AppellFamily, flat, q, bound: float, tol: float):
     the block holds, K their cuts, c their weights up to the block's largest
     cut (a row is not zeroed past its own), shift their shifts and kq
     [0]_q..[K.max()]_q.  Each entry comes in exactly one block, and the
-    generator holds one block's arrays at a time."""
+    generator holds one block's arrays at a time.
+
+    Rows are grouped by window, narrowest first.  A group joins the next
+    wider one when that pads it by at most `qcore._PAD` values and sums the
+    call in no more blocks: a block's fixed cost is far more than that many
+    adds.  A row summed in a wider window than its first gets the same
+    values.  Its running sums up to its cut do not depend on the columns
+    after it, `_logs_from_peak` masks rows that peak apart, and no row cuts
+    before its own peak, so a block's `first` (its lowest peak) moves no cut."""
     if min(flat.tolist()) < 0.0:
         raise ValueError("y must be nonnegative")
     if not (tol > 0.0 and math.isfinite(tol)):

@@ -218,13 +218,19 @@ _SYMBOLS = ("one", "affine", "quad", "1,0.3,0.2,0.1")
 
 @pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.999))
 @pytest.mark.parametrize("spec", _SYMBOLS)
-def test_weight_rows_equal_single_calls(spec, q):
+def test_weight_rows_equal_single_calls(spec, q, kernel_windows):
     # each row of an array call is the call on its y alone, bit for bit, and
-    # zero past that call's cut: y = 0 and the grid out of order, with a repeat
+    # zero past that call's cut: y = 0 and the grid out of order, with a repeat;
+    # some rows are summed in a window wider than their first, as a single
+    # call never is, since a narrow group joins the next wider one
     fam = family_from_spec(spec)
     ys = np.linspace(0.0, 0.95 * SAFETY / (1.0 - q), 21)[[20, 0, 5, 13, 5, 1, 19]]
+    firsts, blocks = kernel_windows
     for bound in (1.0, as_qvalue(q).radius**2):
+        firsts.clear()
+        blocks.clear()
         c, kq, shift = scaled_weights(fam, ys, q, bound)
+        assert set(firsts) - {width for _, width in blocks}
         assert c.shape == (len(ys), len(kq)) and shift.shape == ys.shape
         for row, y, s in zip(c, ys.tolist(), shift.tolist()):
             one, kq_one, s_one = scaled_weights(fam, y, q, bound)

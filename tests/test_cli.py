@@ -329,6 +329,30 @@ def _count_kernel_passes(monkeypatch) -> list:
     return passes
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("moments",), 2),
+        (("moments", "--q", "0.5", "--n", "100", "--grid", "0:auto:21"), 2),
+        (("moments", "--q", "0.999", "--n", "1000", "--grid", "0:auto:21"), 6),
+        (("local", "--q", "0.99", "--n", "1000", "--function", "sin", "--grid", "0.01:auto:101"), 6),
+        (("rates", "--q", "0.999", "--n", "1000", "--grid", "0:auto:2001"), 167),
+    ],
+    ids=["moments", "moments-q0.5", "moments-q0.999", "local-q0.99", "rates-q0.999"],
+)
+def test_kernel_block_counts(argv, count, kernel_windows, monkeypatch, tmp_path):
+    # a narrow group of rows joins the next wider one when the padding costs
+    # less than a block (6, 6, 11 and 8 blocks before), never into more
+    # blocks; the 2001-point rates' groups are full and stay as they were
+    calls = _count_calls(monkeypatch, (qapprox.qcore, "Eq_exp_series"))
+    _, blocks = kernel_windows
+    assert run([*argv, "--family", "affine", "--out", str(tmp_path / "k.csv")]) == 0
+    assert calls == {"Eq_exp_series": 0} and len(blocks) == count
+    assert all(rows * width <= qapprox.qcore._BLOCK for rows, width in blocks if rows > 1)
+    if argv[0] == "rates":
+        assert sum(rows * width for rows, width in blocks) == 2_523_072
+
+
 def test_certificates_compute_each_point_once(monkeypatch, tmp_path):
     # each checker takes L f on its whole grid in one evaluate call, and
     # rates' three checkers share it through evaluate's memo, so 3 evaluate
@@ -513,6 +537,18 @@ def test_converge_evaluates_each_moment_once(ns, grid, schedule, monkeypatch, tm
     argv = ["converge", "--ns", ns, "--grid", grid, "--schedule", schedule]
     assert run([*argv, "--out", str(tmp_path / "c.csv")]) == 0
     assert orders == [0, 1, 2]
+
+
+@pytest.mark.parametrize("ns", ["1024,16,256,64", "256,16,1024,64,16"])
+def test_converge_sorts_ns(ns, tmp_path, capsys):
+    # the errors must fall along increasing n: a list out of order, or with
+    # a repeat, runs the sorted operators and prints the same bytes
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--ns", ns, "--out", str(out)]) == 0
+    printed, csv = capsys.readouterr(), out.read_bytes()
+    assert run(["converge", "--ns", "16,64,256,1024", "--out", str(out)]) == 0
+    assert capsys.readouterr() == printed and out.read_bytes() == csv
+    assert b"ns=16,64,256,1024 " in csv
 
 
 @pytest.mark.parametrize(

@@ -394,21 +394,24 @@ def test_evaluate_memo_recomputes_for_new_f_tol_or_operator(monkeypatch):
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("family", ["one", "affine", "quad"])
-def test_evaluate_on_a_grid_equals_float_calls(q, family, monkeypatch):
+def test_evaluate_on_a_grid_equals_float_calls(q, family, kernel_windows):
     # one array call against a float call per x, each on a fresh operator,
     # with no tolerance: a grid from 0 to x_max out of order, with repeats;
     # its rows start in first windows of several widths, so the one kernel
-    # pass yields blocks of several widths
+    # pass yields blocks of several widths, and some rows are summed in a
+    # window wider than their first
     fresh = lambda: make_operator(1000, q, math.sqrt(1000), family)
     x_max = fresh().x_max
     grid = np.linspace(0.0, x_max, 21)
     xs = np.concatenate([grid[[20, 0, 7, 3, 7, 12, 1]], grid[::3], [x_max, 0.0]])
-    widths, real = [], qapprox.qcore._logs_from_peak
-    monkeypatch.setattr(qapprox.qcore, "_logs_from_peak", lambda r: widths.append(r.shape[1] + 1) or real(r))
+    firsts, blocks = kernel_windows
     for name in ("sin", "expneg", "abspow:0.5:3"):
-        widths.clear()
+        firsts.clear()
+        blocks.clear()
         got = evaluate(fresh(), preset_function(name), xs)
+        widths = [width for _, width in blocks]
         assert len(set(widths)) > 1
+        assert set(firsts) - set(widths)
         assert got.shape == xs.shape
         assert got.tolist() == [evaluate(fresh(), preset_function(name), x) for x in xs.tolist()]
         # a 0-d array is a float x
